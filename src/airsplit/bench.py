@@ -115,8 +115,11 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(cfg.form in ("auto", "combined", "separated"), "form",
              "must be 'auto', 'combined' or 'separated'")
     _require(len(cfg.r_values) > 0, "r_values", "must not be empty")
+    streams = min(cfg.n_tx, cfg.n_rx)
     for r in cfg.r_values:
         _require(int(r) >= 1, "r_values", "entries must be >= 1")
+        _require(int(r) <= streams, "r_values", f"entry {r} exceeds "
+                 f"min(n_tx, n_rx) = {streams}, the most streams a use carries")
     _require(len(cfg.snr_values) > 0, "snr_values", "must not be empty")
     _require(len(cfg.seeds) > 0, "seeds", "must not be empty")
     _require(0.0 <= cfg.rho <= 1.0, "rho", "must lie in [0, 1]")

@@ -50,12 +50,17 @@ def crandn(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:
 
     Real and imaginary parts are independent N(0, var/2).  The real block is
     drawn before the imaginary block so the draw order is part of the
-    contract.
+    contract.  Both blocks go through one float buffer straight into the
+    complex result; for var > 0 the bytes equal scale * (re + 1j * im) from
+    the same two draws (at var = 0 only the signs of zeros may differ).  A
+    0-d shape returns a numpy complex scalar.
     """
     scale = math.sqrt(var / 2.0)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return scale * (re + 1j * im)
+    out = np.empty(shape, dtype=np.complex128)
+    buf = rng.standard_normal(out.shape)
+    np.multiply(buf, scale, out=out.real)
+    np.multiply(rng.standard_normal(out=buf), scale, out=out.imag)
+    return out if out.ndim else out[()]
 
 
 def svd(m: np.ndarray):

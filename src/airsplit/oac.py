@@ -66,7 +66,8 @@ class ChannelRankError(ValueError):
 
 
 class FeasibilityWarning(UserWarning):
-    """Stream budget below layer size; the layer will be rank deficient."""
+    """Stream budget below layer size, or above what the arrays carry; the
+    layer will be rank deficient."""
 
 
 @dataclass(frozen=True)
@@ -216,6 +217,12 @@ class OacLayer:
             warnings.warn(
                 f"K*r = {self.k_total * r} < min(n_in, n_out) = {min(n_in, n_out)}; "
                 "the layer cannot reach full rank",
+                FeasibilityWarning,
+            )
+        if r > min(n_tx, n_rx):
+            warnings.warn(
+                f"r = {r} > min(n_tx, n_rx) = min({n_tx}, {n_rx}); a channel use "
+                "carries at most min(n_tx, n_rx) streams",
                 FeasibilityWarning,
             )
         kr = self.k_total * r

@@ -337,7 +337,9 @@ def _regret_data(cfg: RegretConfig, rng: np.random.Generator):
 
     The draw order is: hidden truth first, then per chunk the measurement
     matrices and observation noise.  Re-seeding reproduces the stream
-    exactly, so the experiment never has to hold all steps in memory.
+    exactly, so the experiment never has to hold all steps in memory.  The
+    consumer accumulates the normal equations from each chunk one seed at a
+    time, so that peak memory stays at one chunk.
     """
     d, m, s = cfg.dim, cfg.obs, cfg.n_seeds
     truth = crandn(rng, (s, d), var=1.0)
@@ -346,7 +348,7 @@ def _regret_data(cfg: RegretConfig, rng: np.random.Generator):
         n = min(_REGRET_CHUNK, cfg.steps - done)
         a = crandn(rng, (n, s, m, d), var=1.0 / d)
         b = crandn(rng, (n, s, m), var=cfg.obs_noise ** 2)
-        b += np.einsum("tsmd,sd->tsm", a, truth)
+        b += (a @ truth[:, :, None])[..., 0]
         yield a, b
         done += n
 
@@ -356,7 +358,8 @@ def regret_experiment(config: RegretConfig = RegretConfig()) -> RegretResult:
 
     All sigmas share data and update-noise draws (the noise is scaled per
     sigma), so comparisons are paired.  A first pass accumulates the normal
-    equations for the hindsight optimum; a second pass replays the identical
+    equations for the hindsight optimum, per seed as BLAS matmuls so that
+    peak memory stays at one chunk; a second pass replays the identical
     stream and runs the projected noisy descent.  The amplitude fit
     a(sigma) ~ c0 + c1 sigma^2 of sqrt(T) R(T)/T over the fit window yields
     the predicted ratio between the largest and the smallest positive sigma.
@@ -369,8 +372,11 @@ def regret_experiment(config: RegretConfig = RegretConfig()) -> RegretResult:
     gram = np.zeros((s_seeds, d, d), dtype=np.complex128)
     rhs = np.zeros((s_seeds, d), dtype=np.complex128)
     for a, b in _regret_data(cfg, make_rng(cfg.seed, 6, 0)):
-        gram += np.einsum("tsmd,tsme->sde", a.conj(), a)
-        rhs += np.einsum("tsmd,tsm->sd", a.conj(), b)
+        for k in range(s_seeds):
+            ak = a[:, k].reshape(-1, d)
+            ah = ak.conj().T
+            gram[k] += ah @ ak
+            rhs[k] += ah @ b[:, k].reshape(-1)
     theta_star = np.stack([np.linalg.solve(gram[s], rhs[s]) for s in range(s_seeds)])
     radius = cfg.radius_factor * np.linalg.norm(theta_star, axis=1)   # (seeds,)
 
@@ -382,13 +388,13 @@ def regret_experiment(config: RegretConfig = RegretConfig()) -> RegretResult:
     t = 0
     for a, b in _regret_data(cfg, make_rng(cfg.seed, 6, 0)):
         n = a.shape[0]
-        resid_star = np.einsum("tsmd,sd->tsm", a, theta_star) - b
+        resid_star = (a @ theta_star[:, :, None])[..., 0] - b
         loss_star = np.sum(np.abs(resid_star) ** 2, axis=2)           # (n, seeds)
         noise = crandn(step_rng, (n, s_seeds, d), var=1.0)
         for i in range(n):
-            resid = np.einsum("smd,xsd->xsm", a[i], theta) - b[i][None]
+            resid = (a[i] @ theta[..., None])[..., 0] - b[i][None]
             excess[t] = np.sum(np.abs(resid) ** 2, axis=2) - loss_star[i][None]
-            grad = np.einsum("smd,xsm->xsd", a[i].conj(), resid)
+            grad = (resid[:, :, None, :] @ a[i].conj())[:, :, 0, :]
             gmax = float(np.max(np.abs(grad)))
             if gmax * math.sqrt(d) > grad_bound:   # cheap upper bound first
                 grad_bound = max(grad_bound,

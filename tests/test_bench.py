@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from airsplit import bench
 from airsplit.bench import (
     CentralizedSystem, ConfigError, CostComparisonRow, DataConfig,
     ExperimentConfig, LayerSpec, PRESET_NAMES, apply_overrides,
@@ -13,7 +14,7 @@ from airsplit.bench import (
 )
 from airsplit.channel import NoiseModel, sample_channel
 from airsplit.linalg import make_rng
-from airsplit.oac import ideal_matrices
+from airsplit.oac import ChannelRankError, ideal_matrices
 from airsplit.runtime import SplitSystem
 
 from _oracles import conv_cost, fc_cost
@@ -46,6 +47,13 @@ def test_validate_rejects_bad_fields():
         ExperimentConfig().train, optimizer="lbfgs"))
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+def test_validate_rejects_more_streams_than_antennas():
+    cfg = dataclasses.replace(ExperimentConfig(), r_values=(4, 32))  # 16 x 16
+    with pytest.raises(ConfigError, match="r_values"):
+        validate_config(cfg)
+    validate_config(dataclasses.replace(cfg, r_values=(16,)))
 
 
 def test_config_dict_round_trip_including_inf():
@@ -204,12 +212,19 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
             (tmp_path / "b" / rel).read_bytes(), rel
 
 
-def test_run_experiment_records_failures_and_continues(tmp_path):
-    # the matched-filter construction needs r <= min(n_tx, n_rx)
-    cfg = _tiny_config(r_values=(9, 2), baseline="ideal")
+def test_run_experiment_records_failures_and_continues(tmp_path, monkeypatch):
+    # no valid config is known to break one combination and not the others,
+    # so the failure is injected into the r = 1 run only
+    def build_or_fail(cfg, r, *args):
+        if r == 1:
+            raise ChannelRankError("injected")
+        return build_system(cfg, r, *args)
+
+    monkeypatch.setattr(bench, "build_system", build_or_fail)
+    cfg = _tiny_config(r_values=(1, 2), baseline="ideal")
     summary = run_experiment(cfg, tmp_path)
     by_r = {row["r"]: row["status"] for row in summary}
-    assert by_r[9].startswith("failed:")
+    assert by_r[1] == "failed:ChannelRankError"
     assert by_r[2] == "ok"
 
 

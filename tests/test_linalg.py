@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,20 @@ def test_crandn_moments_and_dtype():
     # real and imaginary parts carry half the variance each
     assert abs(np.var(z.real) - 1.25) < 0.05
     assert abs(np.var(z.imag) - 1.25) < 0.05
+
+
+@pytest.mark.parametrize("shape", [(), 5, (3, 2), (2, 3, 1, 4)])
+@pytest.mark.parametrize("var", [1.0, 2.5, 1.0 / 64])
+def test_crandn_bytes_match_the_two_draw_formula(shape, var):
+    rng, twin = make_rng(11, 1), make_rng(11, 1)
+    z = crandn(rng, shape, var)
+    re = twin.standard_normal(shape)     # real block first, then imaginary
+    im = twin.standard_normal(shape)
+    ref = math.sqrt(var / 2.0) * (re + 1j * im)
+    assert type(z) is type(ref)          # 0-d shape: a numpy complex scalar
+    assert np.shape(z) == np.shape(ref)
+    assert np.asarray(z).tobytes() == np.asarray(ref).tobytes()
+    assert rng.standard_normal() == twin.standard_normal()
 
 
 def test_crandn_zero_variance():

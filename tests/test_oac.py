@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,15 @@ def test_undersized_use_count_warns():
     layer2 = OacLayer(OacDesign("transmitter", "combined"), 6, 6, 4, 4, 2,
                       make_rng(71))
     assert layer2.k_total == 3 and not layer2.feasibility_warning
+
+
+def test_more_streams_than_antennas_warns():
+    with pytest.warns(FeasibilityWarning,
+                      match=r"r = 5 > min\(n_tx, n_rx\) = min\(4, 6\)"):
+        OacLayer(OacDesign("receiver", "separated"), 5, 5, 4, 6, 5, make_rng(73))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        OacLayer(OacDesign("receiver", "separated"), 4, 4, 4, 6, 4, make_rng(73))
 
 
 @pytest.mark.parametrize("design", ALL_DESIGNS, ids=str)

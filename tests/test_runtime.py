@@ -218,3 +218,43 @@ def test_regret_is_deterministic():
     b = regret_experiment(cfg)
     np.testing.assert_array_equal(a.avg_regret, b.avg_regret)
     assert a.measured_ratio == b.measured_ratio
+
+
+# Reference values recorded from the einsum formulation of regret_experiment;
+# the matmul formulation sums in another order, so it must match to roundoff.
+# 1100 steps cross two 512-step chunk boundaries of the replayed data stream.
+_GOLDEN_T = [100, 333, 508, 514, 1023, 1035, 1100]
+_GOLDEN_AVG_REGRET = [     # (sigma, seed, T) at the steps above
+    [
+        [8.092782139533405, 2.720231589638963, 1.862966464056613, 1.8460147748848612, 1.025898654592761, 1.0165235908550896, 0.9683730047194827],
+        [4.071304378874047, 1.4856676409127847, 1.0688074490156623, 1.0595623604604707, 0.6230473008447199, 0.6190534262666577, 0.591852993546252],
+        [11.531860720737429, 3.7442079932089034, 2.5249868267975892, 2.498368870174149, 1.343445796597589, 1.3303295316884651, 1.259907456306668],
+    ],
+    [
+        [8.70682103763254, 2.9122017866934415, 1.99164663808266, 1.973371459415939, 1.0915381997907316, 1.0814539684288667, 1.0291194625090059],
+        [3.8582284189823475, 1.4272811363606868, 1.0324347756748737, 1.0232641842373287, 0.6066085937461425, 0.6027422701049002, 0.5765741386017434],
+        [12.396610897585834, 4.006218944593059, 2.698361230772729, 2.6691955627234245, 1.43079323723219, 1.4168097797246597, 1.3412245401723153],
+    ],
+    [
+        [11.330811668816642, 3.7814230328065954, 2.5877838220968314, 2.5637267482034063, 1.4131346023520237, 1.3998918735936774, 1.3294962000487975],
+        [3.925028833823134, 1.5154880884642856, 1.1156880017515207, 1.1048405407133444, 0.6727811288103848, 0.6681506042797087, 0.6401095502330864],
+        [18.41129394241329, 5.881343450104012, 3.950169941625685, 3.905315945755976, 2.077374447907675, 2.05670583305093, 1.945347895182353],
+    ],
+]
+
+
+def test_regret_matches_recorded_values():
+    res = regret_experiment(RegretConfig(steps=1100, dim=8, n_seeds=3))
+    rtol = 1e-10
+    np.testing.assert_allclose(
+        res.final, [0.9400444848574675, 0.9823060470943549, 1.3049845484880789],
+        rtol=rtol)
+    np.testing.assert_allclose(
+        res.slopes, [-0.8897625426829495, -0.8929023727847543, -0.898761466839494],
+        rtol=rtol)
+    np.testing.assert_allclose(res.measured_ratio, 1.3284908021773882, rtol=rtol)
+    np.testing.assert_allclose(res.grad_bound, 30.48611630650743, rtol=rtol)
+    cols = np.searchsorted(res.ts, _GOLDEN_T)
+    np.testing.assert_array_equal(res.ts[cols], _GOLDEN_T)
+    np.testing.assert_allclose(res.avg_regret[:, :, cols], _GOLDEN_AVG_REGRET,
+                               rtol=rtol)
