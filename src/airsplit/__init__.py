@@ -6,8 +6,8 @@ over a handful of transmissions.  Training needs no channel estimation; the
 backward pass rides the reverse direction of the same channel.
 """
 
-from .linalg import (DecompositionError, crandn, kron, make_rng, matrix_rank,
-                     pinv, require_finite, spectral_norm, svd)
+from .linalg import (DecompositionError, crandn, make_rng, matrix_rank, pinv,
+                     require_finite, spectral_norm, svd)
 from .channel import (NOISELESS, ChannelState, NoiseModel, PathSet,
                       build_matrix, channel_from_dict, channel_snr,
                       channel_to_dict, evolve_channel, load_channel,
@@ -22,12 +22,10 @@ from .oac import (ALL_DESIGNS, ChannelRankError, FeasibilityError,
                   OacDesign, OacLayer, SnrReport, Transcript, decompose_weight,
                   equivalent_weight, feasible, ideal_matrices,
                   layer_from_weight, mix_channels, mix_kernels,
-                  oac_conv_forward, oac_fc_backward, oac_fc_forward,
                   power_normalize, snr_report)
 from .runtime import (BatchMetrics, CommLossConfig, CovarianceTracker,
                       RegretConfig, RegretResult, SplitLink, SplitSystem,
-                      comm_loss_gradients, covariance_update, evaluate,
-                      regret_experiment, train_batch)
+                      comm_loss_gradients, regret_experiment)
 from .bench import (CentralizedSystem, ConfigError, CostComparisonRow, CostRow,
                     DataConfig, Dataset, ExperimentConfig, LayerSpec,
                     TrainConfig, as_images, build_system, config_from_dict,

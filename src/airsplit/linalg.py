@@ -19,7 +19,6 @@ __all__ = [
     "crandn",
     "svd",
     "pinv",
-    "kron",
     "matrix_rank",
     "spectral_norm",
     "require_finite",
@@ -109,11 +108,6 @@ def pinv(m: np.ndarray, tol: float = DEFAULT_TRUNCATION) -> np.ndarray:
     s_inv = np.zeros_like(s)
     s_inv[keep] = 1.0 / s[keep]
     return (v * s_inv) @ u.conj().T
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (alias of numpy's, kept on this surface for callers)."""
-    return np.kron(a, b)
 
 
 def matrix_rank(m: np.ndarray, tol: float = RANK_TOLERANCE) -> int:

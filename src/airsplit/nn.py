@@ -26,9 +26,6 @@ __all__ = [
     "Adam",
     "numerical_gradient",
     "finite_difference_gradient",
-    "forward_pass",
-    "backward_pass",
-    "optimizer_step",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -438,20 +435,6 @@ def finite_difference_gradient(net: ComplexNet, x: np.ndarray, loss_fn,
         return loss_fn(y)
 
     return numerical_gradient(total, net.parameters(), eps=eps)
-
-
-# Functional aliases mirroring the object surface.
-
-def forward_pass(net: ComplexNet, x: np.ndarray, train: bool = True):
-    return net.forward(x, train=train)
-
-
-def backward_pass(net: ComplexNet, caches, g):
-    return net.backward(caches, g)
-
-
-def optimizer_step(opt, params: dict, grads: dict):
-    opt.step(params, grads)
 
 
 # -- checkpoints ------------------------------------------------------------

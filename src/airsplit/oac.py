@@ -16,17 +16,26 @@ plus noise.
 Four parameterizations are supported, the cross product of which side holds
 the trainable bulk (transmitter or receiver) and whether that bulk is a list
 of full per-use matrices (combined) or a conventional weight W0 folded
-around one shared slim pair (separated).
+around one shared slim pair (separated).  All four run one pipeline; a
+design only fixes the mode of each end of the link.  The bulk side is
+`full` (combined) or `w0` (separated), the other side is always `chunk`:
+
+    end   full               chunk                         w0
+    tx    P_k x              P on rows of x, r per use     P on rows of W0 x, r per use
+    rx    sum_k C_k^H y_k    rows of C^H y_k, stacked      W0 @ that stack
+
+Per-use quantities travel as (K, ., B) stacks, one slice per channel use.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState, NoiseModel, transmit_backward, transmit_forward
+from .channel import (NOISELESS, ChannelState, NoiseModel, transmit_backward,
+                      transmit_forward)
 from .linalg import crandn, matrix_rank, pinv, svd
 
 __all__ = [
@@ -37,8 +46,6 @@ __all__ = [
     "ChannelRankError",
     "feasible",
     "power_normalize",
-    "build_combiners",
-    "build_precoders_separated",
     "OacLayer",
     "Transcript",
     "OacBackwardResult",
@@ -51,9 +58,6 @@ __all__ = [
     "OacConvLayer",
     "mix_kernels",
     "mix_channels",
-    "oac_fc_forward",
-    "oac_fc_backward",
-    "oac_conv_forward",
 ]
 
 
@@ -109,36 +113,46 @@ def power_normalize(block: np.ndarray):
     return block / a, a
 
 
-def build_combiners(c: np.ndarray, k_total: int, k: int) -> np.ndarray:
-    """Place the slim combiner c in the k-th of k_total column blocks.
+def _unchunk(z: np.ndarray, rows: int) -> np.ndarray:
+    """The (K, r, ...) blocks of z stacked into exactly `rows` rows.
 
-    c has r columns; the result has k_total * r columns with c occupying
-    columns [k*r, (k+1)*r) and zeros elsewhere.
+    Rows past K*r are zero; rows past `rows` are cut.  Always a new array.
     """
-    n_rx, r = c.shape
-    out = np.zeros((n_rx, k_total * r), dtype=np.complex128)
-    out[:, k * r:(k + 1) * r] = c
+    flat = z.reshape((-1,) + z.shape[2:])
+    out = np.zeros((rows,) + flat.shape[1:], dtype=np.complex128)
+    n = min(rows, flat.shape[0])
+    out[:n] = flat[:n]
     return out
 
 
-def build_precoders_separated(w0: np.ndarray, p: np.ndarray, k_total: int, k: int) -> np.ndarray:
-    """Effective per-use precoder of the separated transmitter design.
+def _chunk(v: np.ndarray, k_total: int, r: int) -> np.ndarray:
+    """The rows of v as k_total blocks of r, shape (k_total, r, ...).
 
-    The k-th use sends p applied to rows [k*r, (k+1)*r) of w0 x, so the
-    effective precoder is p @ w0[k*r:(k+1)*r, :].
+    Rows past v's own are zero; rows of v past k_total*r are cut.
     """
-    r = p.shape[1]
-    if w0.shape[0] < k_total * r:
-        raise ValueError("w0 has fewer rows than k_total * r")
-    return p @ w0[k * r:(k + 1) * r, :]
+    return _unchunk(v[None], k_total * r).reshape((k_total, r) + v.shape[1:])
 
 
-def _pad_rows(x: np.ndarray, rows: int) -> np.ndarray:
-    if x.shape[0] == rows:
-        return x
-    out = np.zeros((rows,) + x.shape[1:], dtype=x.dtype)
-    out[: x.shape[0]] = x
-    return out
+def _over_the_air(blocks: np.ndarray, send, rows: int):
+    """Send each use's block at unit average power, one use at a time.
+
+    blocks (K, ., B) is normalized in place.  Returns the received
+    (K, rows, B) stack and the per-use transmit scales.  Each use makes its
+    own power_normalize and send call, in use order, so every noise draw
+    stays per use.
+    """
+    k_total, _, batch = blocks.shape
+    received = np.empty((k_total, rows, batch), dtype=np.complex128)
+    scales = np.empty(k_total)
+    for k in range(k_total):
+        blocks[k], scales[k] = power_normalize(blocks[k])
+        received[k] = send(blocks[k])
+    return received, scales
+
+
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return m.conj().swapaxes(-1, -2)
 
 
 @dataclass
@@ -148,14 +162,12 @@ class Transcript:
     design: OacDesign
     k_total: int
     batch: int
-    a: np.ndarray                    # per-use transmit scale
-    transmitted: list                # normalized blocks that hit the air
-    received: list                   # raw antenna blocks at the receiver
+    a: np.ndarray                    # (K,) per-use transmit scale
+    transmitted: np.ndarray          # (K, n_tx, B) normalized blocks that hit the air
+    received: np.ndarray             # (K, n_rx, B) raw antenna blocks at the receiver
     x: np.ndarray                    # layer input
-    s: np.ndarray | None             # w0 @ x (separated transmitter only)
-    x_pad: np.ndarray | None         # zero-padded input (receiver designs)
-    z: np.ndarray | None             # scaled combined stack (separated receiver)
-    events: list = field(default_factory=list)
+    u: np.ndarray                    # precoder input: x, or (K, r, B) chunks of x or W0 x
+    z: np.ndarray                    # (K, ., B) scaled per-use combiner outputs
     feasibility_warning: bool = False
 
     def to_records(self):
@@ -175,10 +187,9 @@ class Transcript:
 class OacBackwardResult:
     g_x: np.ndarray
     grads: dict
-    stream_grads: list               # per-use gradient wrt the pre-scale transmit block
-    received: list                   # raw backward antenna blocks at the transmitter
+    stream_grads: np.ndarray         # (K, n_tx, B) gradient wrt the pre-scale transmit blocks
+    received: np.ndarray             # (K, n_tx, B) raw backward antenna blocks at the transmitter
     a_tilde: np.ndarray
-    events: list
 
 
 class OacLayer:
@@ -188,7 +199,11 @@ class OacLayer:
     of spatial streams per channel use.  The number of uses K is
     ceil(n_out / r) for transmitter-parameterized designs (the output is
     produced r entries at a time) and ceil(n_in / r) for receiver-
-    parameterized ones (the input is consumed r entries at a time).
+    parameterized ones (the input is consumed r entries at a time).  An
+    explicit k overrides K.  When K*r falls short of the chunked width, the
+    layer realizes the truncated map: outputs past K*r are zero (before the
+    bias) for transmitter designs, and inputs past K*r are ignored for
+    receiver designs.
 
     forward_rescale: the receiver multiplies each combined block by the
     transmit scale a_k it was told out of band, so the noiseless layer equals
@@ -225,6 +240,9 @@ class OacLayer:
                 "carries at most min(n_tx, n_rx) streams",
                 FeasibilityWarning,
             )
+        bulk = "full" if design.form == "combined" else "w0"
+        self.tx_mode = bulk if design.side == "transmitter" else "chunk"
+        self.rx_mode = bulk if design.side == "receiver" else "chunk"
         kr = self.k_total * r
         self.params = {}
         if design.side == "transmitter":
@@ -264,51 +282,114 @@ class OacLayer:
     def combiner_names(self):
         return [k for k in self.params if k == "C" or k.startswith("C_")]
 
-    # -- effective per-use matrices ----------------------------------------
+    # -- the two end maps and their adjoints --------------------------------
 
-    def combiner(self, k: int) -> np.ndarray:
-        """Full (n_rx, n_out) combining matrix of use k."""
-        d = self.design
-        if d.side == "receiver" and d.form == "combined":
-            return self.params[f"C_{k}"]
-        if d.side == "receiver":  # separated
-            blk = self.params["W0"][:, k * self.r:(k + 1) * self.r]
-            return self.params["C"] @ blk.conj().T
-        # transmitter designs share one slim combiner; output block k.
-        wide = build_combiners(self.params["C"], self.k_total, k)
-        return wide[:, : self.n_out]
+    def _tx(self, x: np.ndarray):
+        """Transmit end: layer input (n_in, B) -> (u, blocks).
+
+        u is what the precoders act on; blocks[k] = P_k u_k is the raw
+        precoded (K, n_tx, B) stack.
+        """
+        if self.tx_mode == "full":
+            blocks = np.empty((self.k_total, self.n_tx, x.shape[1]), dtype=np.complex128)
+            for k in range(self.k_total):
+                blocks[k] = self.params[f"P_{k}"] @ x
+            return x, blocks
+        if self.tx_mode == "w0":
+            u = (self.params["W0"] @ x).reshape(self.k_total, self.r, -1)
+        else:
+            u = _chunk(x, self.k_total, self.r)
+        return u, self.params["P"] @ u
+
+    def _tx_adjoint(self, t: Transcript, g_blocks: np.ndarray):
+        """Adjoint of _tx at the block gradients g_blocks (K, n_tx, B).
+
+        Returns (g_u, g_x, grads): the per-use precoder-input gradients
+        P_k^H g_k, the layer-input gradient and the transmitter parameter
+        gradients.
+        """
+        if self.tx_mode == "full":
+            u_h = t.u.conj().T
+            grads = {}
+            g_u = np.empty((self.k_total, self.n_in, t.batch), dtype=np.complex128)
+            for k in range(self.k_total):
+                grads[f"P_{k}"] = g_blocks[k] @ u_h
+                g_u[k] = self.params[f"P_{k}"].conj().T @ g_blocks[k]
+            return g_u, g_u.sum(axis=0), grads
+        p = self.params["P"]
+        g_u = p.conj().T @ g_blocks
+        grads = {"P": np.sum(g_blocks @ _hermitian(t.u), axis=0)}
+        if self.tx_mode == "chunk":
+            return g_u, _unchunk(g_u, self.n_in), grads
+        g_s = g_u.reshape(self.k_total * self.r, -1)
+        grads["W0"] = g_s @ t.x.conj().T
+        return g_u, self.params["W0"].conj().T @ g_s, grads
+
+    def _rx(self, received: np.ndarray, scale: np.ndarray):
+        """Receive end: antenna blocks (K, n_rx, B) -> (y, z).
+
+        z is the stack of per-use combiner outputs, each multiplied by its
+        scale; y is the layer output before the bias.
+        """
+        s = scale[:, None, None]
+        if self.rx_mode == "full":
+            z = np.empty((self.k_total, self.n_out, received.shape[2]), dtype=np.complex128)
+            for k in range(self.k_total):
+                z[k] = self.params[f"C_{k}"].conj().T @ received[k]
+            z *= s
+            return z.sum(axis=0), z
+        z = s * (self.params["C"].conj().T @ received)
+        if self.rx_mode == "chunk":
+            return _unchunk(z, self.n_out), z
+        return self.params["W0"] @ z.reshape(self.k_total * self.r, -1), z
+
+    def _rx_adjoint(self, g_y: np.ndarray, scale: np.ndarray, t: Transcript | None = None):
+        """Adjoint of _rx at the output gradient g_y (n_out, B).
+
+        Returns (back, grads): back[k] = C_k gamma_k is the antenna-domain
+        image of the scaled gradient gamma_k of use k's combiner output,
+        (K, n_rx, B).  grads holds the receiver parameter gradients, taken
+        from the transcript t when one is given.
+        """
+        s = scale[:, None, None]
+        grads = {}
+        if self.rx_mode == "full":
+            gamma = s * g_y
+            back = np.empty((self.k_total, self.n_rx, g_y.shape[1]), dtype=np.complex128)
+            for k in range(self.k_total):
+                back[k] = self.params[f"C_{k}"] @ gamma[k]
+                if t is not None:
+                    grads[f"C_{k}"] = t.received[k] @ gamma[k].conj().T
+            return back, grads
+        if self.rx_mode == "w0":
+            if t is not None:
+                grads["W0"] = g_y @ t.z.reshape(self.k_total * self.r, -1).conj().T
+            g_y = self.params["W0"].conj().T @ g_y
+        gamma = s * _chunk(g_y, self.k_total, self.r)
+        if t is not None:
+            grads["C"] = np.sum(t.received @ _hermitian(gamma), axis=0)
+        return self.params["C"] @ gamma, grads
+
+    # -- effective per-use matrices: the end maps applied to the identity ----
+
+    def _precoders(self) -> np.ndarray:
+        """Full (K, n_tx, n_in) precoding matrices."""
+        return self._tx(np.eye(self.n_in, dtype=np.complex128))[1]
+
+    def _combiners(self) -> np.ndarray:
+        """Full (K, n_rx, n_out) combining matrices."""
+        return self._rx_adjoint(np.eye(self.n_out, dtype=np.complex128),
+                                np.ones(self.k_total))[0]
 
     def precoder(self, k: int) -> np.ndarray:
         """Full (n_tx, n_in) precoding matrix of use k."""
-        d = self.design
-        if d.side == "transmitter" and d.form == "combined":
-            return self.params[f"P_{k}"]
-        if d.side == "transmitter":  # separated
-            return build_precoders_separated(self.params["W0"], self.params["P"],
-                                             self.k_total, k)
-        # receiver designs chunk the input.
-        sel = np.eye(self.k_total * self.r, self.n_in, dtype=np.complex128)
-        return self.params["P"] @ sel[k * self.r:(k + 1) * self.r, :]
+        return self._precoders()[k]
 
-    # -- forward ------------------------------------------------------------
+    def combiner(self, k: int) -> np.ndarray:
+        """Full (n_rx, n_out) combining matrix of use k."""
+        return self._combiners()[k]
 
-    def _precoded_blocks(self, x: np.ndarray):
-        d = self.design
-        aux = {}
-        if d.side == "transmitter":
-            if d.form == "combined":
-                blocks = [self.params[f"P_{k}"] @ x for k in range(self.k_total)]
-            else:
-                s = self.params["W0"] @ x
-                aux["s"] = s
-                blocks = [self.params["P"] @ s[k * self.r:(k + 1) * self.r]
-                          for k in range(self.k_total)]
-        else:
-            x_pad = _pad_rows(x, self.k_total * self.r)
-            aux["x_pad"] = x_pad
-            blocks = [self.params["P"] @ x_pad[k * self.r:(k + 1) * self.r]
-                      for k in range(self.k_total)]
-        return blocks, aux
+    # -- forward and backward -------------------------------------------------
 
     def forward(self, x: np.ndarray, channel: ChannelState, noise: NoiseModel,
                 rng: np.random.Generator | None = None, fwd_cov=None):
@@ -317,97 +398,25 @@ class OacLayer:
         fwd_cov, when given, receives one update with all raw received blocks
         of this batch, after reception and before combining.
         """
-        x = np.asarray(x, dtype=np.complex128)
+        x = np.array(x, dtype=np.complex128)
         if x.ndim != 2 or x.shape[0] != self.n_in:
             raise ValueError(f"expected ({self.n_in}, batch) input, got {x.shape}")
         if channel.n_tx != self.n_tx or channel.n_rx != self.n_rx:
             raise ValueError("channel array sizes do not match the layer")
-        events = []
-        blocks, aux = self._precoded_blocks(x)
-        transmitted, received, scales = [], [], []
-        for k, raw in enumerate(blocks):
-            tk, a = power_normalize(raw)
-            events.append(f"precode:{k}")
-            yk = transmit_forward(channel, tk, noise, rng)
-            events.append(f"receive:{k}")
-            transmitted.append(tk)
-            received.append(yk)
-            scales.append(a)
+        u, sent = self._tx(x)
+        received, a = _over_the_air(
+            sent, lambda blk: transmit_forward(channel, blk, noise, rng), self.n_rx)
         if fwd_cov is not None:
-            fwd_cov.update(np.hstack(received))
-            events.append("covariance")
-        a = np.asarray(scales)
-        d = self.design
-        z_store = None
-        if d.side == "transmitter":
-            parts = []
-            c = self.params["C"]
-            for k in range(self.k_total):
-                zk = c.conj().T @ received[k]
-                parts.append(a[k] * zk if self.forward_rescale else zk)
-            y = np.vstack(parts)[: self.n_out]
-        elif d.form == "combined":
-            y = np.zeros((self.n_out, x.shape[1]), dtype=np.complex128)
-            for k in range(self.k_total):
-                zk = self.params[f"C_{k}"].conj().T @ received[k]
-                y += a[k] * zk if self.forward_rescale else zk
-        else:
-            c = self.params["C"]
-            parts = []
-            for k in range(self.k_total):
-                zk = c.conj().T @ received[k]
-                parts.append(a[k] * zk if self.forward_rescale else zk)
-            z_store = np.vstack(parts)
-            y = self.params["W0"] @ z_store
-        events.append("combine")
+            fwd_cov.update(np.hstack(received))    # (n_rx, K*B), uses side by side
+        y, z = self._rx(received, a if self.forward_rescale else np.ones(self.k_total))
         if "b" in self.params:
             y = y + self.params["b"][:, None]
         transcript = Transcript(
-            design=d, k_total=self.k_total, batch=x.shape[1], a=a,
-            transmitted=transmitted, received=received, x=x.copy(),
-            s=aux.get("s"), x_pad=aux.get("x_pad"), z=z_store, events=events,
+            design=self.design, k_total=self.k_total, batch=x.shape[1], a=a,
+            transmitted=sent, received=received, x=x, u=u, z=z,
             feasibility_warning=self.feasibility_warning,
         )
         return y, transcript
-
-    # -- backward ------------------------------------------------------------
-
-    def _receiver_blocks(self, transcript: Transcript, g_y: np.ndarray):
-        """Per-use upstream gradients and receiver-side parameter grads.
-
-        Returns (gammas, grads) where gammas[k] is the gradient of the k-th
-        combine input, already multiplied by the forward scale when the
-        forward output was rescaled.
-        """
-        d = self.design
-        grads = {}
-        scale = transcript.a if self.forward_rescale else np.ones_like(transcript.a)
-        gammas = []
-        if d.side == "transmitter":
-            g_pad = _pad_rows(g_y, self.k_total * self.r)
-            g_c = np.zeros_like(self.params["C"])
-            for k in range(self.k_total):
-                gk = scale[k] * g_pad[k * self.r:(k + 1) * self.r]
-                g_c += transcript.received[k] @ gk.conj().T
-                gammas.append(gk)
-            grads["C"] = g_c
-        elif d.form == "combined":
-            for k in range(self.k_total):
-                gk = scale[k] * g_y
-                grads[f"C_{k}"] = transcript.received[k] @ gk.conj().T
-                gammas.append(gk)
-        else:
-            g_zs = self.params["W0"].conj().T @ g_y
-            grads["W0"] = g_y @ transcript.z.conj().T
-            g_c = np.zeros_like(self.params["C"])
-            for k in range(self.k_total):
-                gk = scale[k] * g_zs[k * self.r:(k + 1) * self.r]
-                g_c += transcript.received[k] @ gk.conj().T
-                gammas.append(gk)
-            grads["C"] = g_c
-        if "b" in self.params:
-            grads["b"] = g_y.sum(axis=1)
-        return gammas, grads
 
     def backward(self, transcript: Transcript, g_y: np.ndarray, channel: ChannelState,
                  noise: NoiseModel, rng: np.random.Generator | None = None, bwd_cov=None):
@@ -420,74 +429,31 @@ class OacLayer:
         all raw backward blocks after reception and before the precoder-side
         gradient computation.
         """
+        t = transcript
         g_y = np.asarray(g_y, dtype=np.complex128)
-        if g_y.shape != (self.n_out, transcript.batch):
-            raise ValueError(f"expected ({self.n_out}, {transcript.batch}) gradient, "
+        if g_y.shape != (self.n_out, t.batch):
+            raise ValueError(f"expected ({self.n_out}, {t.batch}) gradient, "
                              f"got {g_y.shape}")
-        d = self.design
-        events = []
-        gammas, grads = self._receiver_blocks(transcript, g_y)
-        # Which matrix turns a combine-input gradient into an antenna-domain
-        # payload: the slim shared combiner, or the per-use full one.
-        received, a_tilde = [], []
-        for k in range(self.k_total):
-            if d.side == "receiver" and d.form == "combined":
-                payload_raw = (self.params[f"C_{k}"] @ gammas[k]).conj()
-            else:
-                payload_raw = (self.params["C"] @ gammas[k]).conj()
-            payload, at = power_normalize(payload_raw)
-            events.append(f"back-transmit:{k}")
-            wk = transmit_backward(channel, payload, noise, rng)
-            events.append(f"back-receive:{k}")
-            received.append(wk)
-            a_tilde.append(at)
+        ones = np.ones(self.k_total)
+        back, grads = self._rx_adjoint(g_y, t.a if self.forward_rescale else ones, t)
+        if "b" in self.params:
+            grads["b"] = g_y.sum(axis=1)
+        received, a_tilde = _over_the_air(
+            back.conj(), lambda blk: transmit_backward(channel, blk, noise, rng), self.n_tx)
         if bwd_cov is not None:
             bwd_cov.update(np.hstack(received))
-            events.append("covariance")
-        a_tilde = np.asarray(a_tilde)
-        stream_grads = []
-        for k in range(self.k_total):
-            undo = a_tilde[k] if self.backward_rescale else 1.0
-            stream_grads.append(undo * received[k].conj() / transcript.a[k])
-        events.append("stream-grads")
-        if d.side == "transmitter" and d.form == "combined":
-            g_x = np.zeros((self.n_in, transcript.batch), dtype=np.complex128)
-            for k in range(self.k_total):
-                grads[f"P_{k}"] = stream_grads[k] @ transcript.x.conj().T
-                g_x += self.params[f"P_{k}"].conj().T @ stream_grads[k]
-        elif d.side == "transmitter":
-            p = self.params["P"]
-            g_p = np.zeros_like(p)
-            chunks = []
-            for k in range(self.k_total):
-                sk = transcript.s[k * self.r:(k + 1) * self.r]
-                g_p += stream_grads[k] @ sk.conj().T
-                chunks.append(p.conj().T @ stream_grads[k])
-            g_s = np.vstack(chunks)
-            grads["P"] = g_p
-            grads["W0"] = g_s @ transcript.x.conj().T
-            g_x = self.params["W0"].conj().T @ g_s
-        else:
-            p = self.params["P"]
-            g_p = np.zeros_like(p)
-            g_x_pad = np.zeros((self.k_total * self.r, transcript.batch), dtype=np.complex128)
-            for k in range(self.k_total):
-                xk = transcript.x_pad[k * self.r:(k + 1) * self.r]
-                g_p += stream_grads[k] @ xk.conj().T
-                g_x_pad[k * self.r:(k + 1) * self.r] = p.conj().T @ stream_grads[k]
-            grads["P"] = g_p
-            g_x = g_x_pad[: self.n_in]
-        events.append("input-grad")
+        undo = a_tilde if self.backward_rescale else ones
+        stream_grads = undo[:, None, None] * received.conj() / t.a[:, None, None]
+        _, g_x, tx_grads = self._tx_adjoint(t, stream_grads)
+        grads.update(tx_grads)
         return OacBackwardResult(g_x=g_x, grads=grads, stream_grads=stream_grads,
-                                 received=received, a_tilde=a_tilde, events=events)
+                                 received=received, a_tilde=a_tilde)
 
 
 def equivalent_weight(layer: OacLayer, channel: ChannelState) -> np.ndarray:
     """The noiseless matrix the layer implements: sum_k C_k^H H P_k."""
-    w = np.zeros((layer.n_out, layer.n_in), dtype=np.complex128)
-    for k in range(layer.k_total):
-        w += layer.combiner(k).conj().T @ channel.matrix @ layer.precoder(k)
-    return w
+    per_use = _hermitian(layer._combiners()) @ channel.matrix @ layer._precoders()
+    return per_use.sum(axis=0)
 
 
 def decompose_weight(w: np.ndarray, channel: ChannelState, k: int, r: int):
@@ -511,20 +477,17 @@ def decompose_weight(w: np.ndarray, channel: ChannelState, k: int, r: int):
     if n_in >= n_out:
         # Slim combiner whose response C^H H has orthonormal rows.
         c_slim = u[:, :r] / s[:r]
-        c_list = [build_combiners(c_slim, k, i)[:, :n_out] for i in range(k)]
-        g = np.hstack([c_list[i].conj().T @ h for i in range(k)])
-        stacked = pinv(g) @ w
+        c_stack = c_slim @ _chunk(np.eye(n_out, dtype=np.complex128), k, r)
+        c_list = list(c_stack)
+        stacked = pinv(np.hstack(_hermitian(c_stack) @ h)) @ w
         n_tx = channel.n_tx
         p_list = [stacked[i * n_tx:(i + 1) * n_tx] for i in range(k)]
     else:
         # Slim precoder with H P orthonormal; combiners carry the weight.
         p_slim = v[:, :r] / s[:r]
-        m = h @ p_slim                     # orthonormal columns
-        m_pinv = pinv(m)
-        sel = np.eye(k * r, n_in, dtype=np.complex128)
-        p_list = [p_slim @ sel[i * r:(i + 1) * r, :] for i in range(k)]
-        w_pad = np.hstack([w, np.zeros((n_out, k * r - n_in), dtype=np.complex128)])
-        c_list = [(w_pad[:, i * r:(i + 1) * r] @ m_pinv).conj().T for i in range(k)]
+        m_pinv_h = pinv(h @ p_slim).conj().T      # H P has orthonormal columns
+        p_list = list(p_slim @ _chunk(np.eye(n_in, dtype=np.complex128), k, r))
+        c_list = [m_pinv_h @ cols.conj() for cols in _chunk(w.T, k, r)]
     recon = sum(c_list[i].conj().T @ h @ p_list[i] for i in range(k))
     err = np.linalg.norm(recon - w) / max(np.linalg.norm(w), 1e-300)
     if err > 1e-8:
@@ -564,34 +527,31 @@ def layer_from_weight(w: np.ndarray, channel: ChannelState, design: OacDesign, r
     if matrix_rank(h) < r:
         raise ChannelRankError(f"channel rank {matrix_rank(h)} < r = {r}")
     u, s, v = svd(h)
-    kr = layer.k_total * layer.r
+    k_total, kr = layer.k_total, layer.k_total * layer.r
+    params = layer.params
     if design.side == "transmitter":
-        c_slim = u[:, :r] / s[:r]
-        layer.params["C"][...] = c_slim
+        params["C"][...] = u[:, :r] / s[:r]
         if design.form == "separated":
             # C^H H V_r = I, so W0 just carries the weight rows.
-            layer.params["P"][...] = v[:, :r]
-            layer.params["W0"][...] = _pad_rows(w, kr)
+            params["P"][...] = v[:, :r]
+            params["W0"][...] = _chunk(w, k_total, r).reshape(kr, n_in)
         else:
-            c_list = [layer.combiner(i) for i in range(layer.k_total)]
-            g = np.hstack([c_list[i].conj().T @ h for i in range(layer.k_total)])
+            g = np.hstack(_hermitian(layer._combiners()) @ h)
             stacked = pinv(g) @ w
-            for i in range(layer.k_total):
-                layer.params[f"P_{i}"][...] = stacked[i * channel.n_tx:(i + 1) * channel.n_tx]
+            for i in range(k_total):
+                params[f"P_{i}"][...] = stacked[i * channel.n_tx:(i + 1) * channel.n_tx]
     else:
+        params["P"][...] = v[:, :r] / s[:r]
+        cols = _chunk(w.T, k_total, r)           # cols[i]: column block i of w, transposed
         if design.form == "separated":
-            layer.params["C"][...] = u[:, :r]
-            layer.params["P"][...] = v[:, :r] / s[:r]
-            layer.params["W0"][...] = np.hstack(
-                [w, np.zeros((n_out, kr - n_in), dtype=np.complex128)])
+            params["C"][...] = u[:, :r]
+            params["W0"][...] = cols.reshape(kr, n_out).T
         else:
-            layer.params["P"][...] = v[:, :r] / s[:r]
-            m = h @ layer.params["P"]     # orthonormal columns
-            w_pad = np.hstack([w, np.zeros((n_out, kr - n_in), dtype=np.complex128)])
-            for i in range(layer.k_total):
-                layer.params[f"C_{i}"][...] = m @ w_pad[:, i * r:(i + 1) * r].conj().T
+            m = h @ params["P"]     # orthonormal columns
+            for i in range(k_total):
+                params[f"C_{i}"][...] = m @ cols[i].conj()
     if bias:
-        layer.params["b"][...] = 0.0
+        params["b"][...] = 0.0
     return layer
 
 
@@ -601,78 +561,47 @@ def layer_from_weight(w: np.ndarray, channel: ChannelState, design: OacDesign, r
 class SnrReport:
     """Per-use, per-stream signal-to-noise ratios in dB.
 
-    backward follows the convention that the backward normalization scale
-    enters the denominator linearly; backward_power_scaled divides by its
-    square instead.  backward_convention records which one is authoritative.
+    forward is (K, n_out): each output row of each use's combined
+    contribution.  backward is (K, m): each precoder-input stream of each
+    use, m = n_in for per-use transmitter precoders and r otherwise.
     """
 
-    forward: list
-    backward: list
-    backward_power_scaled: list
+    forward: np.ndarray
+    backward: np.ndarray
     a: np.ndarray
     a_tilde: np.ndarray
-    backward_convention: str = "amplitude"
+
+
+def _snr_db(signal: np.ndarray, antennas: int, p_n: float, scale: np.ndarray) -> np.ndarray:
+    """Mean power over the batch of each row of each use, times antennas /
+    p_n and divided by the use's scale, in dB; p_n = 0 gives +inf."""
+    power = np.mean(np.abs(signal) ** 2, axis=2)
+    if p_n == 0.0:
+        return np.full(power.shape, np.inf)
+    return 10.0 * np.log10(np.maximum(power * antennas / p_n / scale[:, None], 1e-300))
 
 
 def snr_report(layer: OacLayer, channel: ChannelState, x: np.ndarray,
                g_y: np.ndarray, p_n: float) -> SnrReport:
     """Empirical stream SNRs for one batch, noiselessly recomputed.
 
-    Forward: mean squared magnitude of each combined stream times n_rx / p_n.
-    Backward: the same for the gradient streams arriving at the transmitter,
-    times n_tx and divided by the backward scale (amplitude convention) or
-    its square (power variant).  p_n = 0 reports +inf everywhere.
+    Forward: mean squared magnitude of each row of C_k^H H t_k, with t_k the
+    unit-power block of use k, times n_rx / p_n.  Backward: the unscaled
+    upstream gradient g_y is sent back at unit power per use; the same
+    figure for the streams P_k^H conj(H^T q_k) that reach the precoders,
+    times n_tx / p_n and divided by the backward transmit scale a_tilde_k.
+    p_n = 0 reports +inf everywhere.
     """
-    x = np.asarray(x, dtype=np.complex128)
     g_y = np.asarray(g_y, dtype=np.complex128)
-    h = channel.matrix
-    blocks, _ = layer._precoded_blocks(x)
-    d = layer.design
-    fwd, bwd, bwd_pow, a_list, at_list = [], [], [], [], []
-    for k, raw in enumerate(blocks):
-        tk, a = power_normalize(raw)
-        a_list.append(a)
-        ck = layer.combiner(k)
-        z = ck.conj().T @ (h @ tk)
-        sig = np.mean(np.abs(z) ** 2, axis=1)
-        if p_n == 0.0:
-            fwd.append(np.full(sig.shape, np.inf))
-        else:
-            fwd.append(10.0 * np.log10(np.maximum(sig * layer.n_rx / p_n, 1e-300)))
-    gammas = _upstream_for_report(layer, g_y)
-    for k in range(layer.k_total):
-        if d.side == "receiver" and d.form == "combined":
-            slim = layer.params[f"C_{k}"]
-        else:
-            slim = layer.params["C"]
-        payload_raw = (slim @ gammas[k]).conj()
-        payload, at = power_normalize(payload_raw)
-        at_list.append(at)
-        pk = layer.precoder(k) if (d.side == "transmitter" and d.form == "combined") \
-            else layer.params["P"]
-        e = pk.conj().T @ ((h.T @ payload).conj())
-        sig = np.mean(np.abs(e) ** 2, axis=1)
-        if p_n == 0.0:
-            bwd.append(np.full(sig.shape, np.inf))
-            bwd_pow.append(np.full(sig.shape, np.inf))
-        else:
-            lin = sig * layer.n_tx / p_n
-            bwd.append(10.0 * np.log10(np.maximum(lin / at, 1e-300)))
-            bwd_pow.append(10.0 * np.log10(np.maximum(lin / at ** 2, 1e-300)))
-    return SnrReport(forward=fwd, backward=bwd, backward_power_scaled=bwd_pow,
-                     a=np.asarray(a_list), a_tilde=np.asarray(at_list))
-
-
-def _upstream_for_report(layer: OacLayer, g_y: np.ndarray):
-    """Per-use upstream gradient blocks without touching receiver grads."""
-    d = layer.design
-    if d.side == "transmitter":
-        g_pad = _pad_rows(g_y, layer.k_total * layer.r)
-        return [g_pad[k * layer.r:(k + 1) * layer.r] for k in range(layer.k_total)]
-    if d.form == "combined":
-        return [g_y for _ in range(layer.k_total)]
-    g_zs = layer.params["W0"].conj().T @ g_y
-    return [g_zs[k * layer.r:(k + 1) * layer.r] for k in range(layer.k_total)]
+    _, t = layer.forward(x, channel, NOISELESS)
+    seen = _hermitian(layer._combiners()) @ t.received
+    back, _ = layer._rx_adjoint(g_y, np.ones(layer.k_total))
+    received, a_tilde = _over_the_air(
+        back.conj(), lambda blk: transmit_backward(channel, blk, NOISELESS), layer.n_tx)
+    streams, _, _ = layer._tx_adjoint(t, received.conj())
+    return SnrReport(forward=_snr_db(seen, layer.n_rx, p_n, np.ones(layer.k_total)),
+                     backward=_snr_db(streams, layer.n_tx, p_n, a_tilde),
+                     a=t.a, a_tilde=a_tilde)
 
 
 # -- convolutional front end --------------------------------------------------
@@ -737,20 +666,4 @@ class OacConvLayer:
         grads = {f"mix.{k}": v for k, v in res.grads.items()}
         grads.update({f"conv.{k}": v for k, v in conv_grads.items()})
         return OacBackwardResult(g_x=g_x, grads=grads, stream_grads=res.stream_grads,
-                                 received=res.received, a_tilde=res.a_tilde,
-                                 events=res.events)
-
-
-# Functional aliases for the primary operations.
-
-def oac_fc_forward(layer: OacLayer, x, channel, noise, rng=None, fwd_cov=None):
-    return layer.forward(x, channel, noise, rng, fwd_cov=fwd_cov)
-
-
-def oac_fc_backward(layer: OacLayer, transcript, g_y, channel, noise, rng=None,
-                    bwd_cov=None):
-    return layer.backward(transcript, g_y, channel, noise, rng, bwd_cov=bwd_cov)
-
-
-def oac_conv_forward(layer: OacConvLayer, x, channel, noise, rng=None, fwd_cov=None):
-    return layer.forward(x, channel, noise, rng, fwd_cov=fwd_cov)
+                                 received=res.received, a_tilde=res.a_tilde)

@@ -24,14 +24,11 @@ from .oac import OacConvLayer, OacLayer
 
 __all__ = [
     "CovarianceTracker",
-    "covariance_update",
     "comm_loss_gradients",
     "CommLossConfig",
     "SplitLink",
     "SplitSystem",
     "BatchMetrics",
-    "train_batch",
-    "evaluate",
     "RegretConfig",
     "RegretResult",
     "regret_experiment",
@@ -66,10 +63,6 @@ class CovarianceTracker:
     def reset(self) -> None:
         self.matrix[:] = 0.0
         self.count = 0
-
-
-def covariance_update(tracker: CovarianceTracker, block: np.ndarray) -> None:
-    tracker.update(block)
 
 
 def comm_loss_gradients(tracker: CovarianceTracker, target: np.ndarray, r: int,
@@ -278,14 +271,6 @@ class SplitSystem:
             total_loss += loss * yb.shape[0]
             correct += acc * yb.shape[0]
         return total_loss / n, correct / n
-
-
-def train_batch(system: SplitSystem, x, labels, optimizer) -> BatchMetrics:
-    return system.train_batch(x, labels, optimizer)
-
-
-def evaluate(system: SplitSystem, x, labels, batch_size: int = 256):
-    return system.evaluate(x, labels, batch_size=batch_size)
 
 
 # -- online optimization under gradient-transport noise ----------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from airsplit.linalg import (
-    DecompositionError, crandn, kron, make_rng, matrix_rank, pinv,
+    DecompositionError, crandn, make_rng, matrix_rank, pinv,
     require_finite, spectral_norm, svd,
 )
 
@@ -92,13 +92,6 @@ def test_pinv_of_rank_deficient_matrix():
     v = crandn(rng, (2, 5))
     a = u @ v
     np.testing.assert_allclose(a @ pinv(a) @ a, a, atol=1e-10)
-
-
-def test_kron_matches_numpy():
-    rng = make_rng(4)
-    a = crandn(rng, (3, 2))
-    b = crandn(rng, (2, 4))
-    np.testing.assert_allclose(kron(a, b), np.kron(a, b), atol=1e-14)
 
 
 def test_matrix_rank_counts_independent_directions():

@@ -130,6 +130,27 @@ def test_noiseless_backward_is_the_adjoint(design, size):
 
 
 @pytest.mark.parametrize("design", ALL_DESIGNS, ids=str)
+@pytest.mark.parametrize("n_in, n_out, k", [(6, 6, 1), (6, 3, 1), (3, 6, 2)])
+def test_explicit_use_count_realizes_the_truncated_map(design, n_in, n_out, k):
+    # K*r below the chunked width: transmitter designs output zeros past K*r,
+    # receiver designs ignore inputs past K*r.
+    rng = make_rng(92, n_in, n_out, k)
+    channel = sample_channel(4, 4, 5, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FeasibilityWarning)
+        layer = OacLayer(design, n_in, n_out, 4, 4, 2, rng, k=k)
+    assert layer.k_total == k
+    x = crandn(rng, (n_in, 5))
+    y, transcript = layer.forward(x, channel, NOISELESS)
+    w = _composed(layer, channel)
+    np.testing.assert_allclose(y, w @ x + layer.params["b"][:, None], atol=1e-10)
+    np.testing.assert_allclose(equivalent_weight(layer, channel), w, atol=1e-10)
+    g_y = crandn(rng, (n_out, 5))
+    res = layer.backward(transcript, g_y, channel, NOISELESS)
+    np.testing.assert_allclose(res.g_x, w.conj().T @ g_y, atol=1e-10)
+
+
+@pytest.mark.parametrize("design", ALL_DESIGNS, ids=str)
 def test_backward_parameter_gradients_match_finite_differences(design):
     n_in, n_out, n_tx, n_rx, r = 4, 5, 4, 4, 2
     rng = make_rng(75)
@@ -178,12 +199,26 @@ def test_transcript_records_the_pipeline():
     layer = OacLayer(design, 6, 6, 4, 4, 3, rng)
     x = crandn(rng, (6, 2))
     _, transcript = layer.forward(x, channel, NOISELESS)
-    kinds = [e.split(":")[0] for e in transcript.events]
-    assert kinds[0] == "precode" and "combine" in kinds
+    k = layer.k_total
     assert transcript.batch == 2
+    assert transcript.a.shape == (k,)
+    assert transcript.transmitted.shape == (k, 4, 2)
+    assert transcript.received.shape == (k, 4, 2)
+    # every use went out at unit average power and arrived through H
+    power = np.mean(np.sum(np.abs(transcript.transmitted) ** 2, axis=1), axis=1)
+    np.testing.assert_allclose(power, np.ones(k), atol=1e-12)
+    np.testing.assert_allclose(transcript.received,
+                               channel.matrix @ transcript.transmitted, atol=1e-12)
     records = transcript.to_records()
-    assert len(records) == layer.k_total
-    assert {"use", "scale"} <= set(records[0])
+    assert [rec["use"] for rec in records] == list(range(k))
+    for rec in records:
+        assert rec["scale"] == transcript.a[rec["use"]]
+        np.testing.assert_array_equal(rec["transmitted"],
+                                      transcript.transmitted[rec["use"]])
+        np.testing.assert_array_equal(rec["received"], transcript.received[rec["use"]])
+    res = layer.backward(transcript, crandn(rng, (6, 2)), channel, NOISELESS)
+    assert res.a_tilde.shape == (k,)
+    assert res.received.shape == res.stream_grads.shape == (k, 4, 2)
 
 
 def test_noisy_transmission_requires_rng():
@@ -266,7 +301,6 @@ def test_snr_report_shapes_and_noiseless_limit(design):
     assert rep.a.shape == (layer.k_total,)
     rep0 = snr_report(layer, channel, x, g_y, p_n=0.0)
     assert all(np.all(np.isinf(f)) for f in rep0.forward)
-    assert rep.backward_convention == "amplitude"
 
 
 def test_conv_layer_runs_the_mixer_over_every_pixel():
