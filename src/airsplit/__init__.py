@@ -23,10 +23,10 @@ from .oac import (ALL_DESIGNS, ChannelRankError, FeasibilityError,
                   equivalent_weight, feasible, ideal_matrices,
                   layer_from_weight, mix_channels, mix_kernels,
                   power_normalize, snr_report)
-from .runtime import (BatchMetrics, CommLossConfig, CovarianceTracker,
-                      RegretConfig, RegretResult, SplitLink, SplitSystem,
+from .runtime import (BatchMetrics, CovarianceTracker, RegretConfig,
+                      RegretResult, SplitLink, SplitSystem,
                       comm_loss_gradients, regret_experiment)
-from .bench import (CentralizedSystem, ConfigError, CostComparisonRow, CostRow,
+from .bench import (ConfigError, CostComparisonRow, CostRow,
                     DataConfig, Dataset, ExperimentConfig, LayerSpec,
                     TrainConfig, as_images, build_system, config_from_dict,
                     config_to_dict, cost_comparison, cost_report,

@@ -20,10 +20,9 @@ import numpy as np
 from .channel import (NOISELESS, ChannelState, NoiseModel, channel_snr,
                       sample_channel, save_channel)
 from .linalg import crandn, make_rng
-from .nn import (Adam, ComplexBatchNorm, ComplexNet, CRelu, Dense, Sgd,
-                 modulus_softmax_loss)
+from .nn import Adam, ComplexBatchNorm, ComplexNet, CRelu, Dense, Sgd
 from .oac import OacDesign, OacLayer, ideal_matrices
-from .runtime import BatchMetrics, CommLossConfig, SplitLink, SplitSystem
+from .runtime import SplitLink, SplitSystem
 
 __all__ = [
     "ConfigError",
@@ -40,7 +39,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "as_images",
-    "CentralizedSystem",
     "build_system",
     "link_snr",
     "run_experiment",
@@ -307,38 +305,6 @@ def as_images(x: np.ndarray, channels: int, height: int, width: int) -> np.ndarr
 
 # -- systems ------------------------------------------------------------------
 
-class CentralizedSystem:
-    """The no-radio reference: the same stack with plain dense links."""
-
-    def __init__(self, net: ComplexNet, loss=modulus_softmax_loss):
-        self.net = net
-        self.loss = loss
-
-    def parameters(self) -> dict:
-        return self.net.parameters()
-
-    def trainable_parameters(self) -> dict:
-        return self.net.parameters()
-
-    def train_batch(self, x, labels, optimizer) -> BatchMetrics:
-        logits, caches = self.net.forward(x, train=True)
-        loss, g, acc = self.loss(logits, labels)
-        _, grads = self.net.backward(caches, g)
-        optimizer.step(self.net.parameters(), grads)
-        return BatchMetrics(loss=loss, accuracy=acc, comm_loss=0.0)
-
-    def evaluate(self, x, labels, batch_size: int = 256):
-        n = x.shape[-1]
-        total_loss, correct = 0.0, 0.0
-        for start in range(0, n, batch_size):
-            sl = slice(start, min(start + batch_size, n))
-            logits, _ = self.net.forward(x[..., sl], train=False)
-            loss, _, acc = self.loss(logits, labels[sl])
-            total_loss += loss * (sl.stop - sl.start)
-            correct += acc * (sl.stop - sl.start)
-        return total_loss / n, correct / n
-
-
 def _node_stacks(cfg: ExperimentConfig, rng) -> list:
     """Layer stacks for every node, drawn in node order from one rng."""
     f = cfg.data.n_features
@@ -371,7 +337,8 @@ def build_system(cfg: ExperimentConfig, r: int, snr_db: float, seed: int,
     Parameter draw order is fixed: node stacks first (in node order,
     interleaved dense layers as they appear), then each link's layer.  The
     centralized baseline replaces every link with a dense layer drawn at the
-    same point, so its width matches exactly.
+    same point, so its width matches exactly, and trains the whole stack as
+    one node with no links.
     """
     n_links = cfg.n_nodes - 1
     if cfg.baseline != "centralized" and len(channels) != n_links:
@@ -386,7 +353,7 @@ def build_system(cfg: ExperimentConfig, r: int, snr_db: float, seed: int,
             layers.extend(stack)
             if i < n_links:
                 layers.append(Dense(h, h, init_rng, bias=cfg.bias))
-        return CentralizedSystem(ComplexNet(layers)), opt
+        return SplitSystem([ComplexNet(layers)], []), opt
     form = _resolve_form(cfg, r)
     if cfg.baseline == "ideal":
         form = "separated"
@@ -397,18 +364,17 @@ def build_system(cfg: ExperimentConfig, r: int, snr_db: float, seed: int,
         layer = OacLayer(design, h, h, cfg.n_tx, cfg.n_rx, r, init_rng,
                          bias=cfg.bias, forward_rescale=cfg.forward_rescale,
                          backward_rescale=_resolve_backward_rescale(cfg))
-        comm = CommLossConfig(enabled=False)
+        comm_weight = cfg.comm_weight
         if cfg.baseline == "ideal":
             p_slim, c_slim = ideal_matrices(channels[i], r)
             layer.params["P"][...] = p_slim
             layer.params["C"][...] = c_slim
             layer.freeze("P", "C")
-        elif cfg.comm_weight > 0.0:
-            comm = CommLossConfig(enabled=True, weight=cfg.comm_weight)
+            comm_weight = 0.0
         links.append(SplitLink(
             layer, channels[i], noise,
             noise_rng_f=make_rng(seed, 3, i), noise_rng_b=make_rng(seed, 4, i),
-            comm=comm, rho=cfg.rho, evolve_rng=make_rng(seed, 5, i)))
+            comm_weight=comm_weight, rho=cfg.rho, evolve_rng=make_rng(seed, 5, i)))
     nodes = [ComplexNet(stack) for stack in stacks]
     return SplitSystem(nodes, links), opt
 
@@ -452,24 +418,28 @@ def _single_run(cfg: ExperimentConfig, ds: Dataset, channels: list, r: int,
     n_train = ds.train_y.size
     t = cfg.train
     rows = []
-    metrics = None
+    status, ev_loss, ev_acc = "ok", "", ""
     for step in range(1, t.steps + 1):
         idx = batch_rng.integers(0, n_train, size=t.batch_size)
         metrics = system.train_batch(ds.train_x[:, idx], ds.train_y[idx], opt)
-        if step % t.log_every == 0 or step == t.steps:
+        finite = math.isfinite(metrics.loss)
+        if step % t.log_every == 0 or step == t.steps or not finite:
             rows.append(("train", step, metrics.loss, metrics.accuracy,
                          metrics.comm_loss))
-        if step % t.eval_every == 0 and step != t.steps:
+        if finite and (step % t.eval_every == 0 or step == t.steps):
             ev_loss, ev_acc = system.evaluate(ds.test_x, ds.test_y)
-            rows.append(("eval", step, ev_loss, ev_acc, ""))
-    ev_loss, ev_acc = system.evaluate(ds.test_x, ds.test_y)
-    rows.append(("final", t.steps, ev_loss, ev_acc, ""))
+            rows.append(("final" if step == t.steps else "eval", step, ev_loss,
+                         ev_acc, ""))
+            finite = math.isfinite(ev_loss)
+        if not finite:
+            status = f"diverged@{step}"
+            break
     name = f"r{r}_snr{_snr_tag(snr_db)}_seed{seed}.csv"
     _write_csv(runs_dir / name, ("phase", "step", "loss", "accuracy", "comm_loss"),
                rows)
     return {
-        "r": r, "snr_db": snr_db, "seed": seed, "status": "ok",
-        "steps": t.steps, "train_loss": metrics.loss,
+        "r": r, "snr_db": snr_db, "seed": seed, "status": status,
+        "steps": step, "train_loss": metrics.loss,
         "train_accuracy": metrics.accuracy, "eval_loss": ev_loss,
         "eval_accuracy": ev_acc, "file": name,
     }
@@ -481,7 +451,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list:
     Files: config.json, channels/link*.json, runs/<combo>.csv per run,
     summary.csv (one row per run) and aggregate.csv (mean and spread over
     seeds).  A failing run is recorded with its error class and the sweep
-    continues.  Returns the summary rows.
+    continues; a run whose train or eval loss turns non-finite stops there
+    and is recorded as diverged@<step> with its partial curve.  Only ok runs
+    enter the aggregate.  Returns the summary rows.
     """
     validate_config(cfg)
     out = Path(out_dir)

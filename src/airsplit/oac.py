@@ -14,11 +14,16 @@ obtains exactly the gradient it would get from explicit backpropagation,
 plus noise.
 
 Four parameterizations are supported, the cross product of which side holds
-the trainable bulk (transmitter or receiver) and whether that bulk is a list
-of full per-use matrices (combined) or a conventional weight W0 folded
-around one shared slim pair (separated).  All four run one pipeline; a
-design only fixes the mode of each end of the link.  The bulk side is
-`full` (combined) or `w0` (separated), the other side is always `chunk`:
+the trainable bulk (transmitter or receiver) and whether that bulk is a
+stack of full per-use matrices (combined) or a conventional weight W0
+folded around one shared slim pair (separated).  Every design names its
+parameters P, C, optional W0 and b.  P is (n_tx, r) or, as the combined
+transmitter bulk, one stacked (K, n_tx, n_in) parameter; C is (n_rx, r) or,
+as the combined receiver bulk, (K, n_rx, n_out).  All four run one
+pipeline; a design only fixes the mode of each end of the link.  The bulk
+side is `full` (combined) or `w0` (separated), the other side is always
+`chunk`.  Each end is one batched matmul with P or C^H; the modes differ
+only in how its per-use operand is formed and its result collapsed:
 
     end   full               chunk                         w0
     tx    P_k x              P on rows of x, r per use     P on rows of W0 x, r per use
@@ -248,16 +253,16 @@ class OacLayer:
         if design.side == "transmitter":
             self.params["C"] = crandn(rng, (n_rx, r), var=1.0 / n_rx)
             if design.form == "combined":
-                for i in range(self.k_total):
-                    self.params[f"P_{i}"] = crandn(rng, (n_tx, n_in), var=1.0 / n_in)
+                self.params["P"] = np.stack(
+                    [crandn(rng, (n_tx, n_in), var=1.0 / n_in) for _ in range(self.k_total)])
             else:
                 self.params["W0"] = crandn(rng, (kr, n_in), var=1.0 / n_in)
                 self.params["P"] = crandn(rng, (n_tx, r), var=1.0 / r)
         else:
             self.params["P"] = crandn(rng, (n_tx, r), var=1.0 / r)
             if design.form == "combined":
-                for i in range(self.k_total):
-                    self.params[f"C_{i}"] = crandn(rng, (n_rx, n_out), var=1.0 / n_rx)
+                self.params["C"] = np.stack(
+                    [crandn(rng, (n_rx, n_out), var=1.0 / n_rx) for _ in range(self.k_total)])
             else:
                 self.params["W0"] = crandn(rng, (n_out, kr), var=1.0 / kr)
                 self.params["C"] = crandn(rng, (n_rx, r), var=1.0 / n_rx)
@@ -279,23 +284,18 @@ class OacLayer:
                 raise KeyError(name)
             self.frozen.add(name)
 
-    def combiner_names(self):
-        return [k for k in self.params if k == "C" or k.startswith("C_")]
-
     # -- the two end maps and their adjoints --------------------------------
 
     def _tx(self, x: np.ndarray):
         """Transmit end: layer input (n_in, B) -> (u, blocks).
 
-        u is what the precoders act on; blocks[k] = P_k u_k is the raw
+        u is what the precoders act on: x itself (full), or its (K, r, B)
+        chunks (chunk) or those of W0 x (w0).  blocks = P @ u is the raw
         precoded (K, n_tx, B) stack.
         """
         if self.tx_mode == "full":
-            blocks = np.empty((self.k_total, self.n_tx, x.shape[1]), dtype=np.complex128)
-            for k in range(self.k_total):
-                blocks[k] = self.params[f"P_{k}"] @ x
-            return x, blocks
-        if self.tx_mode == "w0":
+            u = x
+        elif self.tx_mode == "w0":
             u = (self.params["W0"] @ x).reshape(self.k_total, self.r, -1)
         else:
             u = _chunk(x, self.k_total, self.r)
@@ -306,19 +306,14 @@ class OacLayer:
 
         Returns (g_u, g_x, grads): the per-use precoder-input gradients
         P_k^H g_k, the layer-input gradient and the transmitter parameter
-        gradients.
+        gradients.  A shared P sums its gradient over the uses.
         """
-        if self.tx_mode == "full":
-            u_h = t.u.conj().T
-            grads = {}
-            g_u = np.empty((self.k_total, self.n_in, t.batch), dtype=np.complex128)
-            for k in range(self.k_total):
-                grads[f"P_{k}"] = g_blocks[k] @ u_h
-                g_u[k] = self.params[f"P_{k}"].conj().T @ g_blocks[k]
-            return g_u, g_u.sum(axis=0), grads
         p = self.params["P"]
-        g_u = p.conj().T @ g_blocks
-        grads = {"P": np.sum(g_blocks @ _hermitian(t.u), axis=0)}
+        g_u = _hermitian(p) @ g_blocks
+        g_p = g_blocks @ _hermitian(t.u)
+        grads = {"P": g_p if p.ndim == 3 else np.sum(g_p, axis=0)}
+        if self.tx_mode == "full":
+            return g_u, g_u.sum(axis=0), grads
         if self.tx_mode == "chunk":
             return g_u, _unchunk(g_u, self.n_in), grads
         g_s = g_u.reshape(self.k_total * self.r, -1)
@@ -328,17 +323,13 @@ class OacLayer:
     def _rx(self, received: np.ndarray, scale: np.ndarray):
         """Receive end: antenna blocks (K, n_rx, B) -> (y, z).
 
-        z is the stack of per-use combiner outputs, each multiplied by its
-        scale; y is the layer output before the bias.
+        z = scale * (C^H @ received) is the stack of per-use combiner
+        outputs; y is the layer output before the bias: their sum (full),
+        their rows stacked (chunk), or W0 times that stack (w0).
         """
-        s = scale[:, None, None]
+        z = scale[:, None, None] * (_hermitian(self.params["C"]) @ received)
         if self.rx_mode == "full":
-            z = np.empty((self.k_total, self.n_out, received.shape[2]), dtype=np.complex128)
-            for k in range(self.k_total):
-                z[k] = self.params[f"C_{k}"].conj().T @ received[k]
-            z *= s
             return z.sum(axis=0), z
-        z = s * (self.params["C"].conj().T @ received)
         if self.rx_mode == "chunk":
             return _unchunk(z, self.n_out), z
         return self.params["W0"] @ z.reshape(self.k_total * self.r, -1), z
@@ -346,29 +337,25 @@ class OacLayer:
     def _rx_adjoint(self, g_y: np.ndarray, scale: np.ndarray, t: Transcript | None = None):
         """Adjoint of _rx at the output gradient g_y (n_out, B).
 
-        Returns (back, grads): back[k] = C_k gamma_k is the antenna-domain
-        image of the scaled gradient gamma_k of use k's combiner output,
+        Returns (back, grads): back = C @ gamma is the antenna-domain image
+        of the scaled gradients gamma_k of the per-use combiner outputs,
         (K, n_rx, B).  grads holds the receiver parameter gradients, taken
-        from the transcript t when one is given.
+        from the transcript t when one is given; a shared C sums its
+        gradient over the uses.
         """
-        s = scale[:, None, None]
         grads = {}
-        if self.rx_mode == "full":
-            gamma = s * g_y
-            back = np.empty((self.k_total, self.n_rx, g_y.shape[1]), dtype=np.complex128)
-            for k in range(self.k_total):
-                back[k] = self.params[f"C_{k}"] @ gamma[k]
-                if t is not None:
-                    grads[f"C_{k}"] = t.received[k] @ gamma[k].conj().T
-            return back, grads
         if self.rx_mode == "w0":
             if t is not None:
                 grads["W0"] = g_y @ t.z.reshape(self.k_total * self.r, -1).conj().T
             g_y = self.params["W0"].conj().T @ g_y
-        gamma = s * _chunk(g_y, self.k_total, self.r)
+        if self.rx_mode != "full":
+            g_y = _chunk(g_y, self.k_total, self.r)
+        gamma = scale[:, None, None] * g_y
+        c = self.params["C"]
         if t is not None:
-            grads["C"] = np.sum(t.received @ _hermitian(gamma), axis=0)
-        return self.params["C"] @ gamma, grads
+            g_c = t.received @ _hermitian(gamma)
+            grads["C"] = g_c if c.ndim == 3 else np.sum(g_c, axis=0)
+        return c @ gamma, grads
 
     # -- effective per-use matrices: the end maps applied to the identity ----
 
@@ -459,40 +446,25 @@ def equivalent_weight(layer: OacLayer, channel: ChannelState) -> np.ndarray:
 def decompose_weight(w: np.ndarray, channel: ChannelState, k: int, r: int):
     """Split an arbitrary weight into per-use precoders and combiners.
 
-    Requires k * r >= min(n_in, n_out) and channel rank >= r.  One side is
-    built from the channel's dominant singular subspace so the stacked
-    response has full row (or column) rank; the other side is solved with a
-    pseudo-inverse.  Returns (p_list, c_list) with
-    sum_i c_i^H H p_i == w to working precision.
+    Requires k * r >= min(n_in, n_out) and channel rank >= r.  The weight is
+    installed, over k uses, in a combined layer whose bulk sits on the
+    larger side (see layer_from_weight), and that layer's per-use matrices
+    are returned as (p_list, c_list) with sum_i c_i^H H p_i == w to working
+    precision.
     """
     w = np.asarray(w, dtype=np.complex128)
     n_out, n_in = w.shape
     if not feasible(k, r, n_in, n_out):
         raise FeasibilityError(
             f"k*r = {k * r} < min(n_in, n_out) = {min(n_in, n_out)}")
-    h = channel.matrix
-    if matrix_rank(h) < r:
-        raise ChannelRankError(f"channel rank {matrix_rank(h)} < r = {r}")
-    u, s, v = svd(h)
-    if n_in >= n_out:
-        # Slim combiner whose response C^H H has orthonormal rows.
-        c_slim = u[:, :r] / s[:r]
-        c_stack = c_slim @ _chunk(np.eye(n_out, dtype=np.complex128), k, r)
-        c_list = list(c_stack)
-        stacked = pinv(np.hstack(_hermitian(c_stack) @ h)) @ w
-        n_tx = channel.n_tx
-        p_list = [stacked[i * n_tx:(i + 1) * n_tx] for i in range(k)]
-    else:
-        # Slim precoder with H P orthonormal; combiners carry the weight.
-        p_slim = v[:, :r] / s[:r]
-        m_pinv_h = pinv(h @ p_slim).conj().T      # H P has orthonormal columns
-        p_list = list(p_slim @ _chunk(np.eye(n_in, dtype=np.complex128), k, r))
-        c_list = [m_pinv_h @ cols.conj() for cols in _chunk(w.T, k, r)]
-    recon = sum(c_list[i].conj().T @ h @ p_list[i] for i in range(k))
+    side = "transmitter" if n_in >= n_out else "receiver"
+    layer = layer_from_weight(w, channel, OacDesign(side, "combined"), r, k=k, bias=False)
+    p_stack, c_stack = layer._precoders(), layer._combiners()
+    recon = np.sum(_hermitian(c_stack) @ channel.matrix @ p_stack, axis=0)
     err = np.linalg.norm(recon - w) / max(np.linalg.norm(w), 1e-300)
     if err > 1e-8:
         raise FeasibilityError(f"reconstruction failed, relative error {err:.2e}")
-    return p_list, c_list
+    return list(p_stack), list(c_stack)
 
 
 def ideal_matrices(channel: ChannelState, r: int):
@@ -537,9 +509,7 @@ def layer_from_weight(w: np.ndarray, channel: ChannelState, design: OacDesign, r
             params["W0"][...] = _chunk(w, k_total, r).reshape(kr, n_in)
         else:
             g = np.hstack(_hermitian(layer._combiners()) @ h)
-            stacked = pinv(g) @ w
-            for i in range(k_total):
-                params[f"P_{i}"][...] = stacked[i * channel.n_tx:(i + 1) * channel.n_tx]
+            params["P"][...] = (pinv(g) @ w).reshape(params["P"].shape)
     else:
         params["P"][...] = v[:, :r] / s[:r]
         cols = _chunk(w.T, k_total, r)           # cols[i]: column block i of w, transposed
@@ -547,9 +517,7 @@ def layer_from_weight(w: np.ndarray, channel: ChannelState, design: OacDesign, r
             params["C"][...] = u[:, :r]
             params["W0"][...] = cols.reshape(kr, n_out).T
         else:
-            m = h @ params["P"]     # orthonormal columns
-            for i in range(k_total):
-                params[f"C_{i}"][...] = m @ cols[i].conj()
+            params["C"][...] = (h @ params["P"]) @ cols.conj()    # H P: orthonormal columns
     if bias:
         params["b"][...] = 0.0
     return layer
@@ -563,7 +531,11 @@ class SnrReport:
 
     forward is (K, n_out): each output row of each use's combined
     contribution.  backward is (K, m): each precoder-input stream of each
-    use, m = n_in for per-use transmitter precoders and r otherwise.
+    use, m = n_in for per-use transmitter precoders and r otherwise.  a is
+    the forward transmit scale per use.  a_tilde is the backward transmit
+    scale of the unscaled upstream gradient; with forward_rescale on,
+    OacLayer.backward sends a_k gamma_k, so the scale it reports is a_k
+    times this one.
     """
 
     forward: np.ndarray
@@ -589,8 +561,9 @@ def snr_report(layer: OacLayer, channel: ChannelState, x: np.ndarray,
     unit-power block of use k, times n_rx / p_n.  Backward: the unscaled
     upstream gradient g_y is sent back at unit power per use; the same
     figure for the streams P_k^H conj(H^T q_k) that reach the precoders,
-    times n_tx / p_n and divided by the backward transmit scale a_tilde_k.
-    p_n = 0 reports +inf everywhere.
+    times n_tx / p_n and divided by the backward transmit scale a_tilde_k of
+    that unscaled gradient (not of the a_k-scaled one a training backward
+    sends when forward_rescale is on).  p_n = 0 reports +inf everywhere.
     """
     g_y = np.asarray(g_y, dtype=np.complex128)
     _, t = layer.forward(x, channel, NOISELESS)

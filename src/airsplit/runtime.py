@@ -25,7 +25,6 @@ from .oac import OacConvLayer, OacLayer
 __all__ = [
     "CovarianceTracker",
     "comm_loss_gradients",
-    "CommLossConfig",
     "SplitLink",
     "SplitSystem",
     "BatchMetrics",
@@ -73,12 +72,14 @@ def comm_loss_gradients(tracker: CovarianceTracker, target: np.ndarray, r: int,
     the tracked covariance.  For side 'combiner' the penalty is
     weight * ||U_w^H target||_F^2 and the gradient 2 * weight * U_w U_w^H
     target; side 'signal' scales both by 1 / (2 * batch^2) so the figure does
-    not grow with batch size.  Returns (gradient, penalty value); both are
-    zero when r covers the full dimension or nothing was tracked yet.
+    not grow with batch size.  A stacked (K, dim, .) target is K per-use
+    matrices sharing one projector; its penalty is the per-use penalties
+    added in use order.  Returns (gradient, penalty value); both are zero
+    when r covers the full dimension or nothing was tracked yet.
     """
     target = np.asarray(target, dtype=np.complex128)
-    if target.shape[0] != tracker.dim:
-        raise ValueError(f"target rows {target.shape[0]} != tracker dim {tracker.dim}")
+    if target.shape[-2] != tracker.dim:
+        raise ValueError(f"target rows {target.shape[-2]} != tracker dim {tracker.dim}")
     if r >= tracker.dim or tracker.count == 0:
         return np.zeros_like(target), 0.0
     u, _, _ = svd(tracker.matrix)
@@ -87,18 +88,14 @@ def comm_loss_gradients(tracker: CovarianceTracker, target: np.ndarray, r: int,
     if side == "combiner":
         scale = weight
     elif side == "signal":
-        b = target.shape[1]
+        b = target.shape[-1]
         scale = weight / (2.0 * b * b)
     else:
         raise ValueError("side must be 'combiner' or 'signal'")
-    loss = scale * float(np.sum(np.abs(coeff) ** 2))
+    loss = 0.0
+    for block in coeff.reshape((-1,) + coeff.shape[-2:]):
+        loss += scale * float(np.sum(np.abs(block) ** 2))
     return 2.0 * scale * (u_w @ coeff), loss
-
-
-@dataclass
-class CommLossConfig:
-    enabled: bool = False
-    weight: float = 1.0
 
 
 class SplitLink:
@@ -106,13 +103,14 @@ class SplitLink:
 
     rho > 0 makes the channel drift between batches; evolve() is called once
     per training batch by the system.  Covariance trackers update only
-    during training passes.
+    during training passes.  comm_weight > 0 adds the weak-subspace penalty
+    of that weight to training passes; 0 turns it off.
     """
 
     def __init__(self, layer, channel: ChannelState, noise: NoiseModel,
                  noise_rng_f: np.random.Generator | None = None,
                  noise_rng_b: np.random.Generator | None = None,
-                 comm: CommLossConfig | None = None, alpha: float = 0.99,
+                 comm_weight: float = 0.0, alpha: float = 0.99,
                  rho: float = 0.0, evolve_rng: np.random.Generator | None = None):
         self.layer = layer
         self.inner: OacLayer = layer.mix if isinstance(layer, OacConvLayer) else layer
@@ -120,7 +118,7 @@ class SplitLink:
         self.noise = noise
         self.rng_f = noise_rng_f
         self.rng_b = noise_rng_b
-        self.comm = comm if comm is not None else CommLossConfig()
+        self.comm_weight = comm_weight
         self.fwd_cov = CovarianceTracker(self.inner.n_rx, alpha)
         self.bwd_cov = CovarianceTracker(self.inner.n_tx, alpha)
         self.rho = rho
@@ -142,23 +140,23 @@ class SplitLink:
         res = self.layer.backward(transcript, g_y, self.channel, self.noise,
                                   self.rng_b, bwd_cov=cov)
         self.comm_loss_value = 0.0
-        if train and self.comm.enabled:
-            self._inject_comm(res)
+        if train and self.comm_weight > 0.0:
+            self._inject_comm(transcript, res)
         return res
 
-    def _inject_comm(self, res) -> None:
+    def _inject_comm(self, transcript, res) -> None:
         """Add the weak-subspace penalty gradients onto the link gradients."""
         inner = self.inner
-        prefix = "mix." if isinstance(self.layer, OacConvLayer) else ""
-        total = 0.0
-        for name in inner.combiner_names():
-            g_extra, val = comm_loss_gradients(self.fwd_cov, inner.params[name],
-                                               inner.r, side="combiner",
-                                               weight=self.comm.weight)
-            res.grads[prefix + name] += g_extra
+        conv = isinstance(self.layer, OacConvLayer)
+        g_c, total = comm_loss_gradients(self.fwd_cov, inner.params["C"], inner.r,
+                                         side="combiner", weight=self.comm_weight)
+        res.grads["mix.C" if conv else "C"] += g_c
+        if not conv and inner.n_in == inner.n_tx:
+            # The transmit side steers its activations out of the same subspace.
+            g_x, val = comm_loss_gradients(self.bwd_cov, transcript.x, inner.r,
+                                           side="signal", weight=self.comm_weight)
+            res.g_x = res.g_x + g_x
             total += val
-        # The transmit side steers its activations out of the same subspace;
-        # that half is injected by the system, which holds the layer input.
         self.comm_loss_value = total
 
     def trainable_parameters(self) -> dict:
@@ -176,7 +174,8 @@ class SplitSystem:
     """Alternating node networks and air links, trained end to end.
 
     nodes: list of ComplexNet, one more than links.  The loss is applied to
-    the last node's output.
+    the last node's output.  One node and no links is the centralized
+    reference network.
     """
 
     def __init__(self, nodes, links, loss=modulus_softmax_loss):
@@ -230,13 +229,6 @@ class SplitSystem:
                 link = self.links[link_idx]
                 res = link.backward(payload, g, train=train)
                 g = res.g_x
-                if train and link.comm.enabled and isinstance(link.layer, OacLayer) \
-                        and link.inner.n_in == link.inner.n_tx:
-                    g_extra, val = comm_loss_gradients(
-                        link.bwd_cov, payload.x, link.inner.r, side="signal",
-                        weight=link.comm.weight)
-                    g = g + g_extra
-                    link.comm_loss_value += val
                 for name, arr in res.grads.items():
                     grads[f"link{link_idx}.{name}"] = arr
                 link_idx -= 1
@@ -251,7 +243,7 @@ class SplitSystem:
         trainable = self.trainable_parameters()
         grads = {k: v for k, v in grads.items() if k in trainable}
         optimizer.step(trainable, grads)
-        comm = sum(link.comm_loss_value for link in self.links)
+        comm = sum((link.comm_loss_value for link in self.links), 0.0)
         return BatchMetrics(loss=loss, accuracy=acc, comm_loss=comm)
 
     def evaluate(self, x, labels, batch_size: int = 256):

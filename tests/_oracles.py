@@ -55,7 +55,7 @@ def composed_weight(side, form, params, h, n_in, n_out, r, k_total):
         c = params["C"]                                   # (n_rx, r)
         for k in range(k_total):
             if form == "combined":
-                p_k = params[f"P_{k}"]                    # (n_tx, n_in)
+                p_k = params["P"][k]                      # (n_tx, n_in)
             else:
                 w0 = params["W0"]                         # (K r, n_in)
                 p_k = params["P"] @ w0[k * r:(k + 1) * r, :]
@@ -67,7 +67,7 @@ def composed_weight(side, form, params, h, n_in, n_out, r, k_total):
         hp = h @ params["P"]                              # (n_rx, r)
         for k in range(k_total):
             if form == "combined":
-                contrib = params[f"C_{k}"].conj().T @ hp  # (n_out, r)
+                contrib = params["C"][k].conj().T @ hp    # (n_out, r)
             else:
                 z = params["C"].conj().T @ hp             # (r, r)
                 contrib = params["W0"][:, k * r:(k + 1) * r] @ z
@@ -81,7 +81,7 @@ def full_combiner(side, form, params, n_out, r, k_total, k):
     """The (n_rx, n_out) combining matrix of transmission k, from raw params."""
     if side == "receiver":
         if form == "combined":
-            return params[f"C_{k}"].copy()
+            return params["C"][k].copy()
         return params["C"] @ params["W0"][:, k * r:(k + 1) * r].conj().T
     c = params["C"]                                       # (n_rx, r)
     out = np.zeros((c.shape[0], n_out), dtype=np.complex128)

@@ -6,7 +6,7 @@ import pytest
 
 from airsplit import bench
 from airsplit.bench import (
-    CentralizedSystem, ConfigError, CostComparisonRow, DataConfig,
+    ConfigError, CostComparisonRow, DataConfig,
     ExperimentConfig, LayerSpec, PRESET_NAMES, apply_overrides,
     as_images, build_system, config_from_dict, config_to_dict,
     cost_comparison, cost_report, generate_dataset, link_snr, load_dataset,
@@ -144,7 +144,7 @@ def test_build_system_split_and_centralized_widths_match():
     assert isinstance(split, SplitSystem)
     central, _ = build_system(dataclasses.replace(cfg, baseline="centralized"),
                               r=2, snr_db=float("inf"), seed=0, channels=[])
-    assert isinstance(central, CentralizedSystem)
+    assert isinstance(central, SplitSystem) and central.links == []
     n_split = sum(v.size for v in split.parameters().values())
     n_central = sum(v.size for v in central.parameters().values())
     # same node stacks; the link trades P/C/W0 against one dense w
@@ -175,9 +175,9 @@ def test_ideal_baseline_freezes_matched_filters():
 def test_comm_penalty_enabled_by_weight():
     channel = [sample_channel(4, 4, 6, make_rng(52, 2, 0))]
     plain, _ = build_system(_tiny_config(), 2, 10.0, 0, channel)
-    assert not plain.links[0].comm.enabled
+    assert plain.links[0].comm_weight == 0.0
     pen, _ = build_system(_tiny_config(comm_weight=1e-3), 2, 10.0, 0, channel)
-    assert pen.links[0].comm.enabled and pen.links[0].comm.weight == 1e-3
+    assert pen.links[0].comm_weight == 1e-3
 
 
 def test_link_snr_matches_request():
@@ -226,6 +226,29 @@ def test_run_experiment_records_failures_and_continues(tmp_path, monkeypatch):
     by_r = {row["r"]: row["status"] for row in summary}
     assert by_r[1] == "failed:ChannelRankError"
     assert by_r[2] == "ok"
+
+
+@pytest.mark.parametrize("lr, phase, step", [(1e4, "eval", 10), (1e30, "train", 3)])
+def test_run_experiment_stops_and_marks_a_diverged_run(tmp_path, lr, phase, step):
+    # SGD at lr=1e4 keeps the batch-normalized train loss finite but blows up
+    # the running statistics, so the first eval is nan; at lr=1e30 the train
+    # loss itself turns nan.  Neither run may be recorded ok or aggregated.
+    cfg = dataclasses.replace(preset("moving_3node"), n_tx=4, n_rx=4,
+                              r_values=(2,), seeds=(0,))
+    cfg.train = dataclasses.replace(cfg.train, steps=30, optimizer="sgd", lr=lr,
+                                    eval_every=10, log_every=5)
+    with np.errstate(all="ignore"):
+        summary = run_experiment(cfg, tmp_path)
+    row = summary[0]
+    assert row["status"] == f"diverged@{step}" and row["steps"] == step
+    curve = (tmp_path / "runs" / row["file"]).read_text().splitlines()
+    last = curve[-1].split(",")
+    assert last[:3] == [phase, str(step), "nan"]
+    assert all(line.split(",")[0] != "final" for line in curve)
+    summary_csv = (tmp_path / "summary.csv").read_text().splitlines()
+    assert summary_csv[1].split(",")[3] == f"diverged@{step}"
+    agg = (tmp_path / "aggregate.csv").read_text().splitlines()
+    assert agg[1] == "2,10.0,0,,,,"
 
 
 # -- cost accounting ----------------------------------------------------------

@@ -140,6 +140,16 @@ def test_explicit_use_count_realizes_the_truncated_map(design, n_in, n_out, k):
         warnings.simplefilter("ignore", FeasibilityWarning)
         layer = OacLayer(design, n_in, n_out, 4, 4, 2, rng, k=k)
     assert layer.k_total == k
+    # every design names its parameters P, C, W0, b; a combined bulk is one
+    # stacked (K, ., .) parameter
+    assert not any(name.startswith(("P_", "C_")) for name in layer.params)
+    shapes = {name: arr.shape for name, arr in layer.params.items()}
+    if design.form == "combined" and design.side == "transmitter":
+        assert shapes["P"] == (k, 4, n_in) and shapes["C"] == (4, 2)
+    elif design.form == "combined":
+        assert shapes["C"] == (k, 4, n_out) and shapes["P"] == (4, 2)
+    else:
+        assert shapes["P"] == shapes["C"] == (4, 2)
     x = crandn(rng, (n_in, 5))
     y, transcript = layer.forward(x, channel, NOISELESS)
     w = _composed(layer, channel)
@@ -148,6 +158,18 @@ def test_explicit_use_count_realizes_the_truncated_map(design, n_in, n_out, k):
     g_y = crandn(rng, (n_out, 5))
     res = layer.backward(transcript, g_y, channel, NOISELESS)
     np.testing.assert_allclose(res.g_x, w.conj().T @ g_y, atol=1e-10)
+    # g_y is the gradient of ||y - target||^2 at the current parameters
+    target = y - g_y
+
+    def loss():
+        out, _ = layer.forward(x, channel, NOISELESS)
+        return float(np.sum(np.abs(out - target) ** 2))
+
+    assert set(res.grads) == set(layer.params)
+    for name, arr in layer.params.items():
+        want = oracles.fd_gradient(loss, arr)
+        np.testing.assert_allclose(res.grads[name], want, atol=3e-5,
+                                   err_msg=f"{design} parameter {name}")
 
 
 @pytest.mark.parametrize("design", ALL_DESIGNS, ids=str)
@@ -301,6 +323,15 @@ def test_snr_report_shapes_and_noiseless_limit(design):
     assert rep.a.shape == (layer.k_total,)
     rep0 = snr_report(layer, channel, x, g_y, p_n=0.0)
     assert all(np.all(np.isinf(f)) for f in rep0.forward)
+    # the report's a_tilde is the scale of the unscaled upstream gradient;
+    # with forward_rescale on, backward sends a_k gamma_k instead
+    _, transcript = layer.forward(x, channel, NOISELESS)
+    res = layer.backward(transcript, g_y, channel, NOISELESS)
+    np.testing.assert_allclose(res.a_tilde / rep.a_tilde, transcript.a, rtol=1e-12)
+    layer.forward_rescale = False
+    _, transcript = layer.forward(x, channel, NOISELESS)
+    res = layer.backward(transcript, g_y, channel, NOISELESS)
+    np.testing.assert_array_equal(res.a_tilde, snr_report(layer, channel, x, g_y, 0.1).a_tilde)
 
 
 def test_conv_layer_runs_the_mixer_over_every_pixel():

@@ -6,12 +6,12 @@ from airsplit.linalg import crandn, make_rng
 from airsplit.nn import Adam, ComplexNet, CRelu, Dense, modulus_softmax_loss
 from airsplit.oac import OacDesign, OacLayer, equivalent_weight
 from airsplit.runtime import (
-    BatchMetrics, CommLossConfig, CovarianceTracker, RegretConfig, SplitLink,
+    BatchMetrics, CovarianceTracker, RegretConfig, SplitLink,
     SplitSystem, comm_loss_gradients, regret_experiment,
 )
 
 
-def _toy_system(seed, n_tx=4, comm=None, noise=NOISELESS, rho=0.0,
+def _toy_system(seed, n_tx=4, comm_weight=0.0, noise=NOISELESS, rho=0.0,
                 evolve_rng=None, r=2):
     rng = make_rng(seed, 1)
     channel = sample_channel(n_tx, n_tx, n_tx, make_rng(seed, 2))
@@ -21,7 +21,7 @@ def _toy_system(seed, n_tx=4, comm=None, noise=NOISELESS, rho=0.0,
                      n_tx, n_tx, r, rng)
     link = SplitLink(layer, channel, noise,
                      noise_rng_f=make_rng(seed, 3), noise_rng_b=make_rng(seed, 4),
-                     comm=comm, rho=rho, evolve_rng=evolve_rng)
+                     comm_weight=comm_weight, rho=rho, evolve_rng=evolve_rng)
     return SplitSystem(nodes, [link]), link
 
 
@@ -141,9 +141,8 @@ def test_training_is_deterministic():
 
 
 def test_comm_penalty_moves_combiner_gradients():
-    comm = CommLossConfig(enabled=True, weight=1e-2)
-    system_a, link_a = _toy_system(119, comm=comm)
-    system_b, link_b = _toy_system(119, comm=None)
+    system_a, link_a = _toy_system(119, comm_weight=1e-2)
+    system_b, link_b = _toy_system(119)
     x = crandn(make_rng(120), (3, 6))
     labels = make_rng(121).integers(0, 4, 6)
     # first batch: trackers are empty, so the penalty is zero everywhere
