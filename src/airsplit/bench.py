@@ -422,7 +422,7 @@ def _single_run(cfg: ExperimentConfig, ds: Dataset, channels: list, r: int,
     for step in range(1, t.steps + 1):
         idx = batch_rng.integers(0, n_train, size=t.batch_size)
         metrics = system.train_batch(ds.train_x[:, idx], ds.train_y[idx], opt)
-        finite = math.isfinite(metrics.loss)
+        finite = math.isfinite(metrics.loss) and math.isfinite(metrics.comm_loss)
         if step % t.log_every == 0 or step == t.steps or not finite:
             rows.append(("train", step, metrics.loss, metrics.accuracy,
                          metrics.comm_loss))
@@ -451,9 +451,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list:
     Files: config.json, channels/link*.json, runs/<combo>.csv per run,
     summary.csv (one row per run) and aggregate.csv (mean and spread over
     seeds).  A failing run is recorded with its error class and the sweep
-    continues; a run whose train or eval loss turns non-finite stops there
-    and is recorded as diverged@<step> with its partial curve.  Only ok runs
-    enter the aggregate.  Returns the summary rows.
+    continues; a run whose train, comm or eval loss turns non-finite stops
+    there and is recorded as diverged@<step> with its partial curve.  Only ok
+    runs enter the aggregate.  Returns the summary rows.
     """
     validate_config(cfg)
     out = Path(out_dir)

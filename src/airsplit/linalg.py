@@ -44,21 +44,41 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(stream)))
 
 
-def crandn(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:
+# Floats of scratch crandn holds at a time, whatever the size of its result.
+_CRANDN_SCRATCH = 1 << 16
+
+
+def crandn(rng: np.random.Generator, shape, var: float = 1.0,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Circularly symmetric complex Gaussian draws with E|z|^2 = var.
 
     Real and imaginary parts are independent N(0, var/2).  The real block is
     drawn before the imaginary block so the draw order is part of the
-    contract.  Both blocks go through one float buffer straight into the
-    complex result; for var > 0 the bytes equal scale * (re + 1j * im) from
-    the same two draws (at var = 0 only the signs of zeros may differ).  A
-    0-d shape returns a numpy complex scalar.
+    contract.  Each block is drawn in pieces through a float scratch of at
+    most _CRANDN_SCRATCH entries straight into the complex result; a normal
+    stream drawn in pieces equals the stream drawn at once, so for var > 0
+    the bytes equal scale * (re + 1j * im) from the same two draws (at
+    var = 0 only the signs of zeros may differ).
+
+    out, if given, is a C-contiguous complex128 array of exactly `shape`
+    that is filled in place and returned, so a caller can reuse one buffer
+    across draws.  A 0-d shape returns a numpy complex scalar.
     """
     scale = math.sqrt(var / 2.0)
-    out = np.empty(shape, dtype=np.complex128)
-    buf = rng.standard_normal(out.shape)
-    np.multiply(buf, scale, out=out.real)
-    np.multiply(rng.standard_normal(out=buf), scale, out=out.imag)
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    elif (out.dtype != np.complex128 or out.shape != np.broadcast_shapes(shape)
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous complex128 array of shape "
+                         f"{shape}, got {out.dtype} {out.shape}")
+    flat = out.reshape(-1)
+    size = flat.size
+    buf = np.empty(min(size, _CRANDN_SCRATCH))
+    for part in (flat.real, flat.imag):
+        for lo in range(0, size, _CRANDN_SCRATCH):
+            piece = buf[:min(_CRANDN_SCRATCH, size - lo)]
+            rng.standard_normal(out=piece)
+            np.multiply(piece, scale, out=part[lo:lo + piece.size])
     return out if out.ndim else out[()]
 
 
@@ -78,17 +98,17 @@ def svd(m: np.ndarray):
         raise DecompositionError(f"SVD did not converge for shape {m.shape}") from exc
     u = np.ascontiguousarray(u)
     v = np.ascontiguousarray(vh.conj().T)
-    for j in range(u.shape[1]):
-        mags = np.abs(u[:, j])
-        top = mags.max()
-        if top == 0.0:
-            continue
-        # Anchor on the first entry that is clearly nonzero relative to the
-        # column peak; entries near roundoff level must not pick the anchor.
-        anchor = int(np.argmax(mags > 1e-6 * top))
-        phase = u[anchor, j] / mags[anchor]
-        u[:, j] *= np.conj(phase)
-        v[:, j] *= np.conj(phase)
+    mags = np.abs(u)
+    top = mags.max(axis=0, initial=0.0)
+    # Anchor each column on its first entry that is clearly nonzero relative
+    # to the column peak; entries near roundoff level must not pick the
+    # anchor.  All-zero columns keep their values.
+    anchor = np.argmax(mags > 1e-6 * top, axis=0)
+    cols = np.arange(u.shape[1])
+    live = top > 0.0
+    phase = np.conj(u[anchor, cols] / np.where(live, mags[anchor, cols], 1.0))
+    np.multiply(u, phase, out=u, where=live)
+    np.multiply(v, phase, out=v, where=live)
     return u, s, v
 
 

@@ -341,6 +341,13 @@ class Adam:
     First moments live on the complex value; second moments are kept per
     part so a purely real gradient never normalizes the imaginary axis.
     Bias correction uses a single global step counter.
+
+    The moments of the current gradients live in three flat buffers laid out
+    in gradient-dict order, and the per-name entries of m, v_re and v_im are
+    views into them, so a step is one set of elementwise ops plus one
+    in-place update per tensor.  The layout is rebuilt, moments carried over,
+    whenever the gradient names or shapes change; elementwise ops make the
+    bytes independent of the layout.
     """
 
     def __init__(self, lr: float = 0.005, beta1: float = 0.9, beta2: float = 0.999,
@@ -353,36 +360,61 @@ class Adam:
         self.m = {}
         self.v_re = {}
         self.v_im = {}
+        self._layout = None     # ((name, shape), ...) the flat buffers follow
+        self._flat = None       # (m, v_re, v_im) flat buffers
+        self._slices = []       # (name, slice into the buffers, shape)
+
+    def _build_layout(self, grads: dict, layout: tuple) -> None:
+        total = sum(g.size for g in grads.values())
+        flat = (np.zeros(total, dtype=np.complex128), np.zeros(total), np.zeros(total))
+        self._slices = []
+        lo = 0
+        for name, g in grads.items():
+            sl = slice(lo, lo + g.size)
+            for buf, state in zip(flat, (self.m, self.v_re, self.v_im)):
+                view = buf[sl].reshape(g.shape)
+                if name in state:
+                    view[...] = state[name]
+                state[name] = view
+            self._slices.append((name, sl, g.shape))
+            lo += g.size
+        self._layout, self._flat = layout, flat
 
     def step(self, params: dict, grads: dict):
         self.t += 1
+        if not grads:
+            return
+        layout = tuple((name, g.shape) for name, g in grads.items())
+        if layout != self._layout:
+            self._build_layout(grads, layout)
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for name, g in grads.items():
-            if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v_re[name] = np.zeros(g.shape, dtype=np.float64)
-                self.v_im[name] = np.zeros(g.shape, dtype=np.float64)
-            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            vr = self.v_re[name] = b2 * self.v_re[name] + (1 - b2) * g.real ** 2
-            vi = self.v_im[name] = b2 * self.v_im[name] + (1 - b2) * g.imag ** 2
-            mh = m / c1
-            upd = mh.real / (np.sqrt(vr / c2) + self.eps) \
-                + 1j * (mh.imag / (np.sqrt(vi / c2) + self.eps))
-            params[name] -= self.lr * upd
+        g = np.concatenate([arr.reshape(-1) for arr in grads.values()])
+        m, vr, vi = self._flat
+        np.add(b1 * m, (1 - b1) * g, out=m)
+        np.add(b2 * vr, (1 - b2) * g.real ** 2, out=vr)
+        np.add(b2 * vi, (1 - b2) * g.imag ** 2, out=vi)
+        mh = m / c1
+        upd = mh.real / (np.sqrt(vr / c2) + self.eps) \
+            + 1j * (mh.imag / (np.sqrt(vi / c2) + self.eps))
+        step = self.lr * upd
+        for name, sl, shape in self._slices:
+            params[name] -= step[sl].reshape(shape)
 
     def state_dict(self):
+        """Per-name copies of the moments, plus the step counter."""
         out = {"t": np.array(self.t)}
         for name in self.m:
-            out[f"m::{name}"] = self.m[name]
-            out[f"vr::{name}"] = self.v_re[name]
-            out[f"vi::{name}"] = self.v_im[name]
+            out[f"m::{name}"] = self.m[name].copy()
+            out[f"vr::{name}"] = self.v_re[name].copy()
+            out[f"vi::{name}"] = self.v_im[name].copy()
         return out
 
     def load_state_dict(self, state):
         self.t = int(state["t"])
         self.m, self.v_re, self.v_im = {}, {}, {}
+        self._layout, self._flat, self._slices = None, None, []
         for key, arr in state.items():
             if key == "t":
                 continue

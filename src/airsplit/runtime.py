@@ -75,13 +75,17 @@ def comm_loss_gradients(tracker: CovarianceTracker, target: np.ndarray, r: int,
     not grow with batch size.  A stacked (K, dim, .) target is K per-use
     matrices sharing one projector; its penalty is the per-use penalties
     added in use order.  Returns (gradient, penalty value); both are zero
-    when r covers the full dimension or nothing was tracked yet.
+    when r covers the full dimension or nothing was tracked yet.  A tracked
+    covariance that has overflowed to non-finite entries gives a zero
+    gradient and a nan penalty, which the caller reports as divergence.
     """
     target = np.asarray(target, dtype=np.complex128)
     if target.shape[-2] != tracker.dim:
         raise ValueError(f"target rows {target.shape[-2]} != tracker dim {tracker.dim}")
     if r >= tracker.dim or tracker.count == 0:
         return np.zeros_like(target), 0.0
+    if not np.all(np.isfinite(tracker.matrix)):
+        return np.zeros_like(target), math.nan
     u, _, _ = svd(tracker.matrix)
     u_w = u[:, r:]
     coeff = u_w.conj().T @ target
@@ -309,25 +313,51 @@ class RegretResult:
 _REGRET_CHUNK = 512
 
 
-def _regret_data(cfg: RegretConfig, rng: np.random.Generator):
-    """Yield the (A, b) chunks of the data stream, replayably.
+def _regret_data(cfg: RegretConfig, rng: np.random.Generator, chunk: np.ndarray):
+    """Yield the (A, b) chunks of the data stream, replayably, into one buffer.
 
-    The draw order is: hidden truth first, then per chunk the measurement
-    matrices and observation noise.  Re-seeding reproduces the stream
-    exactly, so the experiment never has to hold all steps in memory.  The
-    consumer accumulates the normal equations from each chunk one seed at a
-    time, so that peak memory stays at one chunk.
+    chunk is a (min(_REGRET_CHUNK, steps), seeds, obs, dim) complex buffer;
+    every A is drawn into chunk[:n] in place and yielded as that view, so a
+    yielded A is valid only until the next chunk is requested.  b is small
+    and freshly allocated.  The draw order is: hidden truth first, then per
+    chunk the measurement matrices and observation noise.  Re-seeding
+    reproduces the stream exactly, so the experiment never has to hold all
+    steps in memory.
     """
     d, m, s = cfg.dim, cfg.obs, cfg.n_seeds
     truth = crandn(rng, (s, d), var=1.0)
     done = 0
     while done < cfg.steps:
         n = min(_REGRET_CHUNK, cfg.steps - done)
-        a = crandn(rng, (n, s, m, d), var=1.0 / d)
+        a = crandn(rng, (n, s, m, d), var=1.0 / d, out=chunk[:n])
         b = crandn(rng, (n, s, m), var=cfg.obs_noise ** 2)
         b += (a @ truth[:, :, None])[..., 0]
         yield a, b
         done += n
+
+
+def _hindsight_optimum(cfg: RegretConfig, chunk: np.ndarray) -> np.ndarray:
+    """(seeds, dim) least-squares optimum over the whole data stream.
+
+    Accumulates the normal equations chunk by chunk, per seed as BLAS
+    matmuls on one seed's rows and their conjugates, each gathered into a
+    reused (chunk * obs, dim) buffer.  Its temporaries die on return, before
+    the replay starts.
+    """
+    d, s_seeds = cfg.dim, cfg.n_seeds
+    gram = np.zeros((s_seeds, d, d), dtype=np.complex128)
+    rhs = np.zeros((s_seeds, d), dtype=np.complex128)
+    seed_rows = np.empty((chunk.shape[0] * cfg.obs, d), dtype=np.complex128)
+    seed_conj = np.empty_like(seed_rows)
+    for a, b in _regret_data(cfg, make_rng(cfg.seed, 6, 0), chunk):
+        rows = a.shape[0] * cfg.obs
+        ak, akc = seed_rows[:rows], seed_conj[:rows]
+        for k in range(s_seeds):
+            np.copyto(ak.reshape(a[:, k].shape), a[:, k])
+            ah = np.conj(ak, out=akc).T
+            gram[k] += ah @ ak
+            rhs[k] += ah @ b[:, k].reshape(-1)
+    return np.stack([np.linalg.solve(gram[s], rhs[s]) for s in range(s_seeds)])
 
 
 def regret_experiment(config: RegretConfig = RegretConfig()) -> RegretResult:
@@ -335,39 +365,37 @@ def regret_experiment(config: RegretConfig = RegretConfig()) -> RegretResult:
 
     All sigmas share data and update-noise draws (the noise is scaled per
     sigma), so comparisons are paired.  A first pass accumulates the normal
-    equations for the hindsight optimum, per seed as BLAS matmuls so that
-    peak memory stays at one chunk; a second pass replays the identical
-    stream and runs the projected noisy descent.  The amplitude fit
-    a(sigma) ~ c0 + c1 sigma^2 of sqrt(T) R(T)/T over the fit window yields
-    the predicted ratio between the largest and the smallest positive sigma.
+    equations for the hindsight optimum; a second pass replays the identical
+    stream and runs the projected noisy descent.  Both passes draw every data
+    chunk into one preallocated (min(_REGRET_CHUNK, steps), seeds, obs, dim)
+    buffer, and the update noise into one (chunk, seeds, dim) buffer, so peak
+    memory stays at one chunk whatever the number of steps.  The amplitude
+    fit a(sigma) ~ c0 + c1 sigma^2 of sqrt(T) R(T)/T over the fit window
+    yields the predicted ratio between the largest and the smallest positive
+    sigma.
     """
     cfg = config
     d, m, steps, s_seeds = cfg.dim, cfg.obs, cfg.steps, cfg.n_seeds
     sigmas = np.asarray(cfg.sigmas, dtype=float)
     n_sig = sigmas.size
 
-    gram = np.zeros((s_seeds, d, d), dtype=np.complex128)
-    rhs = np.zeros((s_seeds, d), dtype=np.complex128)
-    for a, b in _regret_data(cfg, make_rng(cfg.seed, 6, 0)):
-        for k in range(s_seeds):
-            ak = a[:, k].reshape(-1, d)
-            ah = ak.conj().T
-            gram[k] += ah @ ak
-            rhs[k] += ah @ b[:, k].reshape(-1)
-    theta_star = np.stack([np.linalg.solve(gram[s], rhs[s]) for s in range(s_seeds)])
+    rows = min(_REGRET_CHUNK, steps)
+    chunk = np.empty((rows, s_seeds, m, d), dtype=np.complex128)
+    theta_star = _hindsight_optimum(cfg, chunk)
     radius = cfg.radius_factor * np.linalg.norm(theta_star, axis=1)   # (seeds,)
 
     step_rng = make_rng(cfg.seed, 6, 1)
+    noise_buf = np.empty((rows, s_seeds, d), dtype=np.complex128)
     theta = np.zeros((n_sig, s_seeds, d), dtype=np.complex128)
     excess = np.empty((steps, n_sig, s_seeds))
     grad_bound = 0.0
     sig_scale = sigmas[:, None, None]
     t = 0
-    for a, b in _regret_data(cfg, make_rng(cfg.seed, 6, 0)):
+    for a, b in _regret_data(cfg, make_rng(cfg.seed, 6, 0), chunk):
         n = a.shape[0]
         resid_star = (a @ theta_star[:, :, None])[..., 0] - b
         loss_star = np.sum(np.abs(resid_star) ** 2, axis=2)           # (n, seeds)
-        noise = crandn(step_rng, (n, s_seeds, d), var=1.0)
+        noise = crandn(step_rng, (n, s_seeds, d), var=1.0, out=noise_buf[:n])
         for i in range(n):
             resid = (a[i] @ theta[..., None])[..., 0] - b[i][None]
             excess[t] = np.sum(np.abs(resid) ** 2, axis=2) - loss_star[i][None]

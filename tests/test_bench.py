@@ -251,6 +251,26 @@ def test_run_experiment_stops_and_marks_a_diverged_run(tmp_path, lr, phase, step
     assert agg[1] == "2,10.0,0,,,,"
 
 
+def test_run_experiment_marks_comm_loss_divergence(tmp_path):
+    # With the comm loss on, SGD at lr=1e4 keeps the batch-normalized train
+    # loss finite while the tracked covariance overflows; no eval falls in
+    # the blow-up.  The run must stop at the non-finite comm loss with its
+    # curve, not fail in the SVD of the overflowed tracker.
+    cfg = dataclasses.replace(preset("sparse_3node"), n_tx=4, n_rx=4,
+                              r_values=(2,), seeds=(0,))
+    cfg.train = dataclasses.replace(cfg.train, steps=200, optimizer="sgd", lr=1e4,
+                                    eval_every=1000, log_every=1)
+    with np.errstate(all="ignore"):
+        row = run_experiment(cfg, tmp_path)[0]
+    assert row["status"] == "diverged@35" and row["steps"] == 35
+    curve = (tmp_path / "runs" / row["file"]).read_text().splitlines()[1:]
+    assert len(curve) == 35
+    assert [line.split(",")[:2] for line in curve] == [
+        ["train", str(step)] for step in range(1, 36)]
+    assert curve[-1].split(",")[-1] == "nan"
+    assert all(np.isfinite(float(line.split(",")[-1])) for line in curve[:-1])
+
+
 # -- cost accounting ----------------------------------------------------------
 
 def test_cost_report_matches_closed_forms():

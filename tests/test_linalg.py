@@ -43,6 +43,31 @@ def test_crandn_bytes_match_the_two_draw_formula(shape, var):
     assert rng.standard_normal() == twin.standard_normal()
 
 
+@pytest.mark.parametrize("shape", [(), (2, 3, 1, 4), 65535, 65536, 65537, (3, 40000)])
+def test_crandn_out_fills_the_two_draw_formula_through_bounded_scratch(shape):
+    # Sizes around the scratch block: the pieces must join into the same stream.
+    var = 1.0 / 64
+    rng, twin = make_rng(12, 3), make_rng(12, 3)
+    buf = np.full(np.broadcast_shapes(shape), np.nan + 1j, dtype=np.complex128)
+    z = crandn(rng, shape, var, out=buf)
+    re = twin.standard_normal(shape)
+    im = twin.standard_normal(shape)
+    ref = math.sqrt(var / 2.0) * (re + 1j * im)
+    if buf.ndim:
+        assert z is buf
+    else:
+        assert type(z) is type(ref)
+    assert buf.tobytes() == np.asarray(ref).tobytes()
+    assert rng.standard_normal() == twin.standard_normal()
+
+
+@pytest.mark.parametrize("bad", [np.empty((3, 4)), np.empty((3, 4), dtype=np.complex128),
+                                 np.empty((4, 6), dtype=np.complex128)[:, ::2]])
+def test_crandn_out_rejects_a_wrong_buffer(bad):
+    with pytest.raises(ValueError, match="out must be"):
+        crandn(make_rng(0), (4, 3), out=bad)
+
+
 def test_crandn_zero_variance():
     z = crandn(make_rng(0), (3, 2), var=0.0)
     np.testing.assert_array_equal(z, np.zeros((3, 2)))
@@ -73,6 +98,20 @@ def test_svd_phase_convention_is_reproducible():
         anchor = int(np.argmax(np.abs(u1[:, j]) > 1e-6 * np.abs(u1[:, j]).max()))
         val = u1[anchor, j]
         assert abs(val.imag) < 1e-12 and val.real > 0
+
+
+def test_svd_phase_skips_zero_columns_and_anchors_past_roundoff(monkeypatch):
+    # Column 0 starts with a roundoff-level entry, so its anchor is row 1;
+    # column 1 is all zeros and must come back untouched, without nan.
+    u = np.array([[1e-9j, 0.0], [0.6j, 0.0], [-0.8, 0.0]], dtype=np.complex128)
+    vh = np.array([[1j, 0.0], [0.0, 1.0]], dtype=np.complex128)
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda m, full_matrices: (u.copy(), np.array([2.0, 0.0]), vh))
+    uu, _, v = svd(np.zeros((3, 2)))
+    np.testing.assert_array_equal(uu[:, 1], 0.0)
+    np.testing.assert_array_equal(v[:, 1], vh.conj().T[:, 1])
+    np.testing.assert_allclose(uu[:, 0], [1e-9, 0.6, 0.8j], atol=1e-15)
+    np.testing.assert_allclose(v[:, 0], [-1.0, 0.0], atol=1e-15)
 
 
 def test_pinv_satisfies_the_four_identities():

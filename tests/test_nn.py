@@ -228,6 +228,56 @@ def test_adam_state_round_trip():
     assert not np.array_equal(params_a["w"], pa["w"])
 
 
+class _PerTensorAdam:
+    """Adam one tensor at a time: the reference for the fused step."""
+
+    def __init__(self, lr):
+        self.lr, self.t, self.m, self.vr, self.vi = lr, 0, {}, {}, {}
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for name, g in grads.items():
+            m = self.m[name] = b1 * self.m.get(name, 0.0) + (1 - b1) * g
+            vr = self.vr[name] = b2 * self.vr.get(name, 0.0) + (1 - b2) * g.real ** 2
+            vi = self.vi[name] = b2 * self.vi.get(name, 0.0) + (1 - b2) * g.imag ** 2
+            mh = m / c1
+            upd = mh.real / (np.sqrt(vr / c2) + eps) \
+                + 1j * (mh.imag / (np.sqrt(vi / c2) + eps))
+            params[name] -= self.lr * upd
+
+
+def test_fused_adam_is_byte_equal_to_per_tensor_adam():
+    # 300 steps; from step 100 to 199 the tensor "b" is frozen (a layout
+    # change, as in the ideal baseline), and at step 150 the state goes
+    # through state_dict / load_state_dict into a fresh optimizer.
+    shapes = {"w": (4, 3), "b": (4,), "k": (2, 2, 3, 3), "s": ()}
+    rng = make_rng(70)
+    params = {name: np.array(crandn(rng, shape)) for name, shape in shapes.items()}
+    ref = {name: arr.copy() for name, arr in params.items()}
+    opt, ref_opt = Adam(lr=0.01), _PerTensorAdam(lr=0.01)
+    for step in range(300):
+        grads = {name: crandn(make_rng(71, step), shape)
+                 for name, shape in shapes.items()
+                 if not (name == "b" and 100 <= step < 200)}
+        if step == 150:
+            state = opt.state_dict()
+            assert sorted(state) == sorted(
+                ["t"] + [f"{kind}::{name}" for kind in ("m", "vr", "vi")
+                         for name in shapes])
+            opt = Adam(lr=0.01)
+            opt.load_state_dict(state)
+        opt.step(params, grads)
+        ref_opt.step(ref, grads)
+    for name in shapes:
+        assert params[name].tobytes() == ref[name].tobytes(), name
+        assert opt.m[name].tobytes() == np.asarray(ref_opt.m[name]).tobytes(), name
+    snapshot = opt.state_dict()
+    opt.step(params, grads)
+    assert snapshot["m::w"].tobytes() == np.asarray(ref_opt.m["w"]).tobytes()
+
+
 def test_numerical_gradient_agrees_with_oracle():
     params = {"z": crandn(make_rng(53), (2, 2))}
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from airsplit import runtime
 from airsplit.channel import NOISELESS, NoiseModel, sample_channel
 from airsplit.linalg import crandn, make_rng
 from airsplit.nn import Adam, ComplexNet, CRelu, Dense, modulus_softmax_loss
@@ -85,6 +88,19 @@ def test_comm_loss_signal_side_scaling():
     assert abs(v_s - v_c / 50) < 1e-12
     with pytest.raises(ValueError):
         comm_loss_gradients(tr, target, r=1, side="elsewhere")
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_comm_loss_is_nan_and_svd_free_for_an_overflowed_tracker(monkeypatch, bad):
+    tr = CovarianceTracker(4)
+    tr.update(crandn(make_rng(107), (4, 8)))
+    tr.matrix[1, 2] = bad
+    target = crandn(make_rng(108), (2, 4, 3))
+    monkeypatch.setattr(runtime, "svd", lambda m: pytest.fail("svd was called"))
+    for side in ("combiner", "signal"):
+        g, val = comm_loss_gradients(tr, target, r=2, side=side)
+        assert np.isnan(val)
+        assert g.shape == target.shape and not np.any(g)
 
 
 def test_split_forward_composes_nodes_and_link():
@@ -257,3 +273,21 @@ def test_regret_matches_recorded_values():
     np.testing.assert_array_equal(res.ts[cols], _GOLDEN_T)
     np.testing.assert_allclose(res.avg_regret[:, :, cols], _GOLDEN_AVG_REGRET,
                                rtol=rtol)
+
+
+def test_regret_peak_memory_stays_near_one_chunk():
+    # Both passes draw every (512, seeds, obs, dim) data chunk into one
+    # buffer.  Holding a second chunk (pass 1's last one, or the generator's
+    # previous one while the next is drawn) raised the peak to ~3 chunks;
+    # one chunk plus the per-seed row buffers and the noise buffer measures
+    # ~1.7.
+    cfg = RegretConfig(steps=1100, dim=16, n_seeds=4)
+    chunk_bytes = 512 * cfg.n_seeds * cfg.obs * cfg.dim * 16
+    regret_experiment(RegretConfig(steps=20, dim=4, obs=2, n_seeds=2, fit_floor=5))
+    tracemalloc.start()
+    try:
+        regret_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / chunk_bytes < 2.0
