@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import crandn, spectral_norm
+from .linalg import add_crandn, spectral_norm
 
 __all__ = [
     "PathSet",
@@ -191,37 +191,36 @@ NOISELESS = NoiseModel(sigma2=0.0)
 
 def _received(matrix: np.ndarray, x: np.ndarray, sigma2: float,
               rng: np.random.Generator | None) -> np.ndarray:
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim not in (2, 3) or x.shape[-2] != matrix.shape[1]:
+        raise ValueError(f"expected ([K,] {matrix.shape[1]}, batch) input, got {x.shape}")
     y = matrix @ x
     if sigma2 > 0.0:
         if rng is None:
             raise ValueError("rng is required when noise power is positive")
-        y = y + crandn(rng, y.shape, var=sigma2)
+        add_crandn(rng, y, sigma2)
     return y
 
 
 def transmit_forward(state: ChannelState, x: np.ndarray, noise: NoiseModel,
                      rng: np.random.Generator | None = None) -> np.ndarray:
-    """Send x (n_tx rows, one column per use) through the forward channel.
+    """Send x, (n_tx, B) or a (K, n_tx, B) stack of uses, through the forward channel.
 
-    Adds white circular noise per receive antenna; the noise is independent
-    across antennas and channel uses.
+    Adds white circular noise per receive antenna, independent across antennas,
+    columns and uses.  Draw order (fixed, part of the replay contract): use by
+    use, one crandn (n_rx, B) draw each, real parts before imaginary ones.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2 or x.shape[0] != state.n_tx:
-        raise ValueError(f"expected ({state.n_tx}, batch) input, got {x.shape}")
     return _received(state.matrix, x, noise.sigma2_per_antenna(state), rng)
 
 
 def transmit_backward(state: ChannelState, x: np.ndarray, noise: NoiseModel,
                       rng: np.random.Generator | None = None) -> np.ndarray:
-    """Send x (n_rx rows) through the reverse direction of the same paths.
+    """Send x, (n_rx, B) or (K, n_rx, B), back along the same paths, with
+    noise drawn as in transmit_forward.
 
     The reverse matrix is the transpose of the forward one (same paths walked
     the other way), never the conjugate transpose.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2 or x.shape[0] != state.n_rx:
-        raise ValueError(f"expected ({state.n_rx}, batch) input, got {x.shape}")
     return _received(state.matrix.T, x, noise.sigma2_per_antenna(state), rng)
 
 

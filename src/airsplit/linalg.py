@@ -17,6 +17,7 @@ __all__ = [
     "RANK_TOLERANCE",
     "make_rng",
     "crandn",
+    "add_crandn",
     "svd",
     "pinv",
     "matrix_rank",
@@ -80,6 +81,15 @@ def crandn(rng: np.random.Generator, shape, var: float = 1.0,
             rng.standard_normal(out=piece)
             np.multiply(piece, scale, out=part[lo:lo + piece.size])
     return out if out.ndim else out[()]
+
+
+def add_crandn(rng: np.random.Generator, out: np.ndarray, var: float) -> None:
+    """Add crandn(rng, (rows, cols), var) to each (rows, cols) block of out,
+    in place and in C order of the blocks, through one reused buffer: the sums
+    and the final stream position equal those of one crandn call per block."""
+    noise = np.empty(out.shape[-2:], dtype=np.complex128)
+    for index in np.ndindex(out.shape[:-2]):
+        out[index] += crandn(rng, noise.shape, var, out=noise)
 
 
 def svd(m: np.ndarray):

@@ -30,6 +30,8 @@ only in how its per-use operand is formed and its result collapsed:
     rx    sum_k C_k^H y_k    rows of C^H y_k, stacked      W0 @ that stack
 
 Per-use quantities travel as (K, ., B) stacks, one slice per channel use.
+Between the two ends, each direction is one power_normalize and one
+transmit call over the whole stack.
 """
 from __future__ import annotations
 
@@ -107,15 +109,18 @@ def feasible(k: int, r: int, n_in: int, n_out: int) -> bool:
 
 
 def power_normalize(block: np.ndarray):
-    """Scale a signal block to unit average transmit power.
+    """Scale an (n, B) block, or each of a (K, n, B) stack, to unit average power.
 
-    Returns (scaled, a) with a = sqrt(mean over columns of ||column||^2), so
-    the scaled columns average power one.  An all-zero block keeps a = 1.
+    Returns (scaled, a) with a = sqrt(mean over columns of ||column||^2) per
+    block, a float or a (K,) array, so the scaled columns average power one.
+    An all-zero block keeps a = 1 and its values.
     """
-    a = math.sqrt(float(np.mean(np.sum(np.abs(block) ** 2, axis=0))))
-    if a == 0.0:
-        return block, 1.0
-    return block / a, a
+    a = np.sqrt(np.mean(np.sum(np.abs(block) ** 2, axis=-2), axis=-1))
+    live = a != 0.0
+    a = np.where(live, a, 1.0)
+    scaled = np.divide(block, a[..., None, None], out=np.array(block, dtype=np.complex128),
+                       where=live[..., None, None])
+    return scaled, (a if a.ndim else float(a))
 
 
 def _unchunk(z: np.ndarray, rows: int) -> np.ndarray:
@@ -138,23 +143,6 @@ def _chunk(v: np.ndarray, k_total: int, r: int) -> np.ndarray:
     return _unchunk(v[None], k_total * r).reshape((k_total, r) + v.shape[1:])
 
 
-def _over_the_air(blocks: np.ndarray, send, rows: int):
-    """Send each use's block at unit average power, one use at a time.
-
-    blocks (K, ., B) is normalized in place.  Returns the received
-    (K, rows, B) stack and the per-use transmit scales.  Each use makes its
-    own power_normalize and send call, in use order, so every noise draw
-    stays per use.
-    """
-    k_total, _, batch = blocks.shape
-    received = np.empty((k_total, rows, batch), dtype=np.complex128)
-    scales = np.empty(k_total)
-    for k in range(k_total):
-        blocks[k], scales[k] = power_normalize(blocks[k])
-        received[k] = send(blocks[k])
-    return received, scales
-
-
 def _hermitian(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes."""
     return m.conj().swapaxes(-1, -2)
@@ -173,7 +161,6 @@ class Transcript:
     x: np.ndarray                    # layer input
     u: np.ndarray                    # precoder input: x, or (K, r, B) chunks of x or W0 x
     z: np.ndarray                    # (K, ., B) scaled per-use combiner outputs
-    feasibility_warning: bool = False
 
     def to_records(self):
         """Structured per-use records for debugging and export."""
@@ -391,8 +378,8 @@ class OacLayer:
         if channel.n_tx != self.n_tx or channel.n_rx != self.n_rx:
             raise ValueError("channel array sizes do not match the layer")
         u, sent = self._tx(x)
-        received, a = _over_the_air(
-            sent, lambda blk: transmit_forward(channel, blk, noise, rng), self.n_rx)
+        sent, a = power_normalize(sent)
+        received = transmit_forward(channel, sent, noise, rng)
         if fwd_cov is not None:
             fwd_cov.update(np.hstack(received))    # (n_rx, K*B), uses side by side
         y, z = self._rx(received, a if self.forward_rescale else np.ones(self.k_total))
@@ -401,7 +388,6 @@ class OacLayer:
         transcript = Transcript(
             design=self.design, k_total=self.k_total, batch=x.shape[1], a=a,
             transmitted=sent, received=received, x=x, u=u, z=z,
-            feasibility_warning=self.feasibility_warning,
         )
         return y, transcript
 
@@ -425,8 +411,8 @@ class OacLayer:
         back, grads = self._rx_adjoint(g_y, t.a if self.forward_rescale else ones, t)
         if "b" in self.params:
             grads["b"] = g_y.sum(axis=1)
-        received, a_tilde = _over_the_air(
-            back.conj(), lambda blk: transmit_backward(channel, blk, noise, rng), self.n_tx)
+        sent, a_tilde = power_normalize(back.conj())
+        received = transmit_backward(channel, sent, noise, rng)
         if bwd_cov is not None:
             bwd_cov.update(np.hstack(received))
         undo = a_tilde if self.backward_rescale else ones
@@ -569,8 +555,8 @@ def snr_report(layer: OacLayer, channel: ChannelState, x: np.ndarray,
     _, t = layer.forward(x, channel, NOISELESS)
     seen = _hermitian(layer._combiners()) @ t.received
     back, _ = layer._rx_adjoint(g_y, np.ones(layer.k_total))
-    received, a_tilde = _over_the_air(
-        back.conj(), lambda blk: transmit_backward(channel, blk, NOISELESS), layer.n_tx)
+    sent, a_tilde = power_normalize(back.conj())
+    received = transmit_backward(channel, sent, NOISELESS)
     streams, _, _ = layer._tx_adjoint(t, received.conj())
     return SnrReport(forward=_snr_db(seen, layer.n_rx, p_n, np.ones(layer.k_total)),
                      backward=_snr_db(streams, layer.n_tx, p_n, a_tilde),

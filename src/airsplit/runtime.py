@@ -279,7 +279,7 @@ class RegretConfig:
     then steps along the gradient plus circular noise of scale sigma, with
     learning rate eta0 / sqrt(t), projected onto a ball that contains the
     hindsight optimum with radius to spare.  Slopes are fitted on log-spaced
-    samples of R(T)/T with T in [fit_floor, steps].
+    samples of R(T)/T with T in [fit_floor, steps]; steps must exceed max(fit_floor, 2).
     """
 
     dim: int = 64
@@ -292,6 +292,10 @@ class RegretConfig:
     radius_factor: float = 10.0
     obs_noise: float = 0.75
     fit_floor: int = 100
+
+    def __post_init__(self):
+        if self.steps <= max(self.fit_floor, 2):
+            raise ValueError(f"steps = {self.steps} must exceed max(fit_floor, 2)")
 
 
 @dataclass

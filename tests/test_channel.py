@@ -77,6 +77,32 @@ def test_transmission_shape_checks():
         transmit_forward(state, np.zeros((6, 1), dtype=complex), NOISELESS)
     with pytest.raises(ValueError):
         transmit_backward(state, np.zeros((4, 1), dtype=complex), NOISELESS)
+    # a (K, n, B) stack is checked on its n the same way
+    with pytest.raises(ValueError):
+        transmit_forward(state, np.zeros((3, 6, 1), dtype=complex), NOISELESS)
+    with pytest.raises(ValueError):
+        transmit_backward(state, np.zeros((3, 4, 1), dtype=complex), NOISELESS)
+    with pytest.raises(ValueError):
+        transmit_forward(state, np.zeros((2, 3, 4, 1), dtype=complex), NOISELESS)
+
+
+# (K, n, B); in the last case each (n, B) noise block outgrows crandn's scratch
+@pytest.mark.parametrize("k, n, b", [(1, 1, 1), (3, 5, 7), (4, 16, 64), (8, 64, 64),
+                                     (2, 64, 1100)])
+def test_a_stacked_transmission_equals_one_call_per_use(k, n, b):
+    state = sample_channel(n, n, 3, make_rng(20, n))
+    x = crandn(make_rng(21, k, n, b), (k, n, b))
+    noise = NoiseModel(sigma2=0.3)
+    for send, h in ((transmit_forward, state.matrix), (transmit_backward, state.matrix.T)):
+        rngs = [make_rng(22), make_rng(22), make_rng(22)]
+        stacked = send(state, x, noise, rngs[0])
+        per_use = np.stack([send(state, x[i], noise, rngs[1]) for i in range(k)])
+        # the replay contract: H x_k plus one crandn draw per use, in use order
+        by_hand = np.stack([h @ x[i] + crandn(rngs[2], (n, b), var=0.3) for i in range(k)])
+        assert stacked.shape == (k, n, b)
+        assert stacked.tobytes() == per_use.tobytes() == by_hand.tobytes()
+        assert (rngs[0].bit_generator.state == rngs[1].bit_generator.state
+                == rngs[2].bit_generator.state)
 
 
 def test_noisy_transmission_requires_rng_and_hits_target_variance():

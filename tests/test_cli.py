@@ -87,6 +87,14 @@ def test_regret_rejects_unknown_field(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+def test_regret_rejects_a_one_sample_slope_fit(capsys):
+    rc = main(["regret", "--override", "steps=20", "--override", "dim=4",
+               "--override", "n_seeds=2"])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 2 and err["error"] == "config"
+    assert "steps" in err["message"] and "fit_floor" in err["message"]
+
+
 def test_verify_passes(capsys):
     rc = main(["verify"])
     out = capsys.readouterr().out

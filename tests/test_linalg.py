@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from airsplit.linalg import (
-    DecompositionError, crandn, make_rng, matrix_rank, pinv,
+    DecompositionError, add_crandn, crandn, make_rng, matrix_rank, pinv,
     require_finite, spectral_norm, svd,
 )
 
@@ -66,6 +66,15 @@ def test_crandn_out_fills_the_two_draw_formula_through_bounded_scratch(shape):
 def test_crandn_out_rejects_a_wrong_buffer(bad):
     with pytest.raises(ValueError, match="out must be"):
         crandn(make_rng(0), (4, 3), out=bad)
+
+
+def test_add_crandn_adds_one_crandn_draw_per_block_in_place():
+    out = crandn(make_rng(13), (2, 3, 4, 6))[..., ::2]      # a strided (2, 3, 4, 3) view
+    rng, twin = make_rng(14), make_rng(14)
+    want = out + np.stack([crandn(twin, (4, 3), 0.5) for _ in range(6)]).reshape(out.shape)
+    add_crandn(rng, out, 0.5)
+    assert out.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_crandn_zero_variance():

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -42,6 +43,21 @@ def test_power_normalize_leaves_zero_blocks_alone():
     scaled, a = power_normalize(np.zeros((3, 2), dtype=np.complex128))
     assert a == 1.0
     np.testing.assert_array_equal(scaled, np.zeros((3, 2)))
+
+
+def test_stacked_power_normalize_equals_one_call_per_use():
+    stack = crandn(make_rng(70, 1), (3, 4, 5), var=2.0)
+    stack[1] = 0.0
+    scaled, a = power_normalize(stack)
+    assert scaled.shape == stack.shape and a.shape == (3,)
+    for k in (0, 2):
+        a_k = math.sqrt(float(np.mean(np.sum(np.abs(stack[k]) ** 2, axis=0))))
+        assert a[k] == a_k
+        assert scaled[k].tobytes() == (stack[k] / a_k).tobytes()
+    assert a[1] == 1.0 and scaled[1].tobytes() == stack[1].tobytes()
+    for k in range(3):
+        one, a_one = power_normalize(stack[k])
+        assert a_one == a[k] and one.tobytes() == scaled[k].tobytes()
 
 
 def test_feasible_boundary():
@@ -129,11 +145,37 @@ def test_noiseless_backward_is_the_adjoint(design, size):
     np.testing.assert_allclose(res.grads["b"], g_y.sum(axis=1), atol=1e-12)
 
 
+def _check_noiseless_against_oracles(layer, channel, x, rng):
+    """Forward against the composed map, g_x against its adjoint, and every
+    parameter gradient against finite differences."""
+    y, transcript = layer.forward(x, channel, NOISELESS)
+    w = _composed(layer, channel)
+    np.testing.assert_allclose(y, w @ x + layer.params["b"][:, None], atol=1e-10)
+    np.testing.assert_allclose(equivalent_weight(layer, channel), w, atol=1e-10)
+    g_y = crandn(rng, (layer.n_out, x.shape[1]))
+    res = layer.backward(transcript, g_y, channel, NOISELESS)
+    np.testing.assert_allclose(res.g_x, w.conj().T @ g_y, atol=1e-10)
+    # g_y is the gradient of ||y - target||^2 at the current parameters
+    target = y - g_y
+
+    def loss():
+        out, _ = layer.forward(x, channel, NOISELESS)
+        return float(np.sum(np.abs(out - target) ** 2))
+
+    assert set(res.grads) == set(layer.params)
+    for name, arr in layer.params.items():
+        want = oracles.fd_gradient(loss, arr)
+        np.testing.assert_allclose(res.grads[name], want, atol=3e-5,
+                                   err_msg=f"{layer.design} parameter {name}")
+
+
 @pytest.mark.parametrize("design", ALL_DESIGNS, ids=str)
-@pytest.mark.parametrize("n_in, n_out, k", [(6, 6, 1), (6, 3, 1), (3, 6, 2)])
+@pytest.mark.parametrize("n_in, n_out, k", [(6, 6, 1), (6, 3, 1), (3, 6, 2), (3, 3, 3)])
 def test_explicit_use_count_realizes_the_truncated_map(design, n_in, n_out, k):
     # K*r below the chunked width: transmitter designs output zeros past K*r,
-    # receiver designs ignore inputs past K*r.
+    # receiver designs ignore inputs past K*r.  K*r past it (3, 3, 3): the
+    # last use carries an all-zero block, forward for receiver designs and
+    # backward for transmitter ones, and is sent with a = 1.
     rng = make_rng(92, n_in, n_out, k)
     channel = sample_channel(4, 4, 5, rng)
     with warnings.catch_warnings():
@@ -150,26 +192,19 @@ def test_explicit_use_count_realizes_the_truncated_map(design, n_in, n_out, k):
         assert shapes["C"] == (k, 4, n_out) and shapes["P"] == (4, 2)
     else:
         assert shapes["P"] == shapes["C"] == (4, 2)
-    x = crandn(rng, (n_in, 5))
-    y, transcript = layer.forward(x, channel, NOISELESS)
-    w = _composed(layer, channel)
-    np.testing.assert_allclose(y, w @ x + layer.params["b"][:, None], atol=1e-10)
-    np.testing.assert_allclose(equivalent_weight(layer, channel), w, atol=1e-10)
-    g_y = crandn(rng, (n_out, 5))
-    res = layer.backward(transcript, g_y, channel, NOISELESS)
-    np.testing.assert_allclose(res.g_x, w.conj().T @ g_y, atol=1e-10)
-    # g_y is the gradient of ||y - target||^2 at the current parameters
-    target = y - g_y
+    _check_noiseless_against_oracles(layer, channel, crandn(rng, (n_in, 5)), rng)
 
-    def loss():
-        out, _ = layer.forward(x, channel, NOISELESS)
-        return float(np.sum(np.abs(out - target) ** 2))
 
-    assert set(res.grads) == set(layer.params)
-    for name, arr in layer.params.items():
-        want = oracles.fd_gradient(loss, arr)
-        np.testing.assert_allclose(res.grads[name], want, atol=3e-5,
-                                   err_msg=f"{design} parameter {name}")
+@pytest.mark.parametrize("design", ALL_DESIGNS, ids=str)
+@pytest.mark.parametrize("r, batch, scale", [(2, 4, 0.0), (2, 1, 1.0), (1, 4, 1.0)],
+                         ids=["zero_input", "batch_1", "r_1"])
+def test_edge_shapes_match_the_oracles(design, r, batch, scale):
+    # An all-zero batch sends every use's forward block with a = 1.
+    rng = make_rng(93, r, batch)
+    channel = sample_channel(4, 3, 5, rng)
+    layer = OacLayer(design, 5, 3, 4, 3, r, rng)
+    x = scale * crandn(rng, (5, batch))
+    _check_noiseless_against_oracles(layer, channel, x, rng)
 
 
 @pytest.mark.parametrize("design", ALL_DESIGNS, ids=str)

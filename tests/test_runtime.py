@@ -235,6 +235,15 @@ def test_regret_is_deterministic():
     assert a.measured_ratio == b.measured_ratio
 
 
+def test_regret_rejects_a_one_sample_slope_fit():
+    # steps at or below max(fit_floor, 2) leaves one point on the log-log axis
+    for kwargs in ({"steps": 20, "dim": 4, "n_seeds": 2}, {"steps": 2, "fit_floor": 1}):
+        with pytest.raises(ValueError, match=r"steps = \d+ must exceed max\(fit_floor, 2\)"):
+            RegretConfig(**kwargs)
+    res = regret_experiment(RegretConfig(steps=3, dim=2, obs=1, n_seeds=1, fit_floor=1))
+    assert res.ts.tolist() == [2, 3] and np.all(np.isfinite(res.slopes))
+
+
 # Reference values recorded from the einsum formulation of regret_experiment;
 # the matmul formulation sums in another order, so it must match to roundoff.
 # 1100 steps cross two 512-step chunk boundaries of the replayed data stream.
