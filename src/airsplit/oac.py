@@ -202,6 +202,9 @@ class OacLayer:
     W_eff exactly.  backward_rescale: the transmitter undoes the backward
     transmit normalization the same way; leave it off when the optimizer is
     scale-invariant.
+
+    freeze(*names) fixes parameters in place: backward leaves a frozen name
+    out of its gradients, so no optimizer steps it.
     """
 
     def __init__(self, design: OacDesign, n_in: int, n_out: int, n_tx: int, n_rx: int,
@@ -261,9 +264,6 @@ class OacLayer:
 
     def parameters(self) -> dict:
         return dict(self.params)
-
-    def trainable_parameters(self) -> dict:
-        return {k: v for k, v in self.params.items() if k not in self.frozen}
 
     def freeze(self, *names: str):
         for name in names:
@@ -355,33 +355,20 @@ class OacLayer:
         return self._rx_adjoint(np.eye(self.n_out, dtype=np.complex128),
                                 np.ones(self.k_total))[0]
 
-    def precoder(self, k: int) -> np.ndarray:
-        """Full (n_tx, n_in) precoding matrix of use k."""
-        return self._precoders()[k]
-
-    def combiner(self, k: int) -> np.ndarray:
-        """Full (n_rx, n_out) combining matrix of use k."""
-        return self._combiners()[k]
-
     # -- forward and backward -------------------------------------------------
 
     def forward(self, x: np.ndarray, channel: ChannelState, noise: NoiseModel,
-                rng: np.random.Generator | None = None, fwd_cov=None):
-        """Run the layer over the air.  Returns (y, transcript).
-
-        fwd_cov, when given, receives one update with all raw received blocks
-        of this batch, after reception and before combining.
-        """
+                rng: np.random.Generator | None = None):
+        """Run the layer over the air.  Returns (y, transcript)."""
         x = np.array(x, dtype=np.complex128)
-        if x.ndim != 2 or x.shape[0] != self.n_in:
-            raise ValueError(f"expected ({self.n_in}, batch) input, got {x.shape}")
+        if x.ndim != 2 or x.shape[0] != self.n_in or x.shape[1] == 0:
+            raise ValueError(f"expected ({self.n_in}, batch) input with batch >= 1, "
+                             f"got {x.shape}")
         if channel.n_tx != self.n_tx or channel.n_rx != self.n_rx:
             raise ValueError("channel array sizes do not match the layer")
         u, sent = self._tx(x)
         sent, a = power_normalize(sent)
         received = transmit_forward(channel, sent, noise, rng)
-        if fwd_cov is not None:
-            fwd_cov.update(np.hstack(received))    # (n_rx, K*B), uses side by side
         y, z = self._rx(received, a if self.forward_rescale else np.ones(self.k_total))
         if "b" in self.params:
             y = y + self.params["b"][:, None]
@@ -392,15 +379,14 @@ class OacLayer:
         return y, transcript
 
     def backward(self, transcript: Transcript, g_y: np.ndarray, channel: ChannelState,
-                 noise: NoiseModel, rng: np.random.Generator | None = None, bwd_cov=None):
+                 noise: NoiseModel, rng: np.random.Generator | None = None):
         """Transport the upstream gradient back over the reverse channel.
 
         The receiver computes its local parameter gradients from the recorded
         received blocks, then radiates the conjugated per-use gradients
         through the reverse direction; the transmitter conjugates what
-        arrives and finishes the chain locally.  bwd_cov, when given, sees
-        all raw backward blocks after reception and before the precoder-side
-        gradient computation.
+        arrives and finishes the chain locally.  Frozen parameters get no
+        gradient.
         """
         t = transcript
         g_y = np.asarray(g_y, dtype=np.complex128)
@@ -413,12 +399,12 @@ class OacLayer:
             grads["b"] = g_y.sum(axis=1)
         sent, a_tilde = power_normalize(back.conj())
         received = transmit_backward(channel, sent, noise, rng)
-        if bwd_cov is not None:
-            bwd_cov.update(np.hstack(received))
         undo = a_tilde if self.backward_rescale else ones
         stream_grads = undo[:, None, None] * received.conj() / t.a[:, None, None]
         _, g_x, tx_grads = self._tx_adjoint(t, stream_grads)
         grads.update(tx_grads)
+        for name in self.frozen:
+            del grads[name]
         return OacBackwardResult(g_x=g_x, grads=grads, stream_grads=stream_grads,
                                  received=received, a_tilde=a_tilde)
 
@@ -601,25 +587,20 @@ class OacConvLayer:
         out.update({f"mix.{k}": v for k, v in self.mix.parameters().items()})
         return out
 
-    def trainable_parameters(self) -> dict:
-        out = {f"conv.{k}": v for k, v in self.conv.parameters().items()}
-        out.update({f"mix.{k}": v for k, v in self.mix.trainable_parameters().items()})
-        return out
-
     def forward(self, x: np.ndarray, channel: ChannelState, noise: NoiseModel,
-                rng: np.random.Generator | None = None, fwd_cov=None):
+                rng: np.random.Generator | None = None):
         z, conv_cache = self.conv.forward(x)
         b, c, ho, wo = z.shape
         pix = z.transpose(1, 0, 2, 3).reshape(c, b * ho * wo)
-        y_vec, transcript = self.mix.forward(pix, channel, noise, rng, fwd_cov=fwd_cov)
+        y_vec, transcript = self.mix.forward(pix, channel, noise, rng)
         y = y_vec.reshape(c, b, ho, wo).transpose(1, 0, 2, 3)
         return y, {"conv": conv_cache, "mix": transcript, "shape": (b, c, ho, wo)}
 
     def backward(self, cache, g_y: np.ndarray, channel: ChannelState, noise: NoiseModel,
-                 rng: np.random.Generator | None = None, bwd_cov=None):
+                 rng: np.random.Generator | None = None):
         b, c, ho, wo = cache["shape"]
         g_vec = g_y.transpose(1, 0, 2, 3).reshape(c, b * ho * wo)
-        res = self.mix.backward(cache["mix"], g_vec, channel, noise, rng, bwd_cov=bwd_cov)
+        res = self.mix.backward(cache["mix"], g_vec, channel, noise, rng)
         g_z = res.g_x.reshape(c, b, ho, wo).transpose(1, 0, 2, 3)
         g_x, conv_grads = self.conv.backward(cache["conv"], g_z)
         grads = {f"mix.{k}": v for k, v in res.grads.items()}

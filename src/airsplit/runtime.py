@@ -105,10 +105,13 @@ def comm_loss_gradients(tracker: CovarianceTracker, target: np.ndarray, r: int,
 class SplitLink:
     """One air link: layer + channel + noise + the per-direction trackers.
 
-    rho > 0 makes the channel drift between batches; evolve() is called once
-    per training batch by the system.  Covariance trackers update only
-    during training passes.  comm_weight > 0 adds the weak-subspace penalty
-    of that weight to training passes; 0 turns it off.
+    rho in [0, 1]; rho > 0 makes the channel drift between batches and needs
+    evolve_rng; evolve() is called once per training batch by the system.
+    On training passes the link updates each tracker once from the received
+    (K, ., B) stack of its direction, the uses side by side; evaluation
+    passes leave them alone.  comm_weight > 0 adds the weak-subspace penalty
+    of that weight to training passes; 0 turns it off.  A frozen combiner
+    gets no penalty gradient, but its penalty is still reported.
     """
 
     def __init__(self, layer, channel: ChannelState, noise: NoiseModel,
@@ -116,6 +119,10 @@ class SplitLink:
                  noise_rng_b: np.random.Generator | None = None,
                  comm_weight: float = 0.0, alpha: float = 0.99,
                  rho: float = 0.0, evolve_rng: np.random.Generator | None = None):
+        if not 0.0 <= rho <= 1.0:
+            raise ValueError(f"rho = {rho} must lie in [0, 1]")
+        if rho > 0.0 and evolve_rng is None:
+            raise ValueError("rho > 0 needs an evolve_rng")
         self.layer = layer
         self.inner: OacLayer = layer.mix if isinstance(layer, OacConvLayer) else layer
         self.channel = channel
@@ -131,21 +138,22 @@ class SplitLink:
 
     def evolve(self) -> None:
         if self.rho > 0.0:
-            if self.evolve_rng is None:
-                raise ValueError("rho > 0 needs an evolve rng")
             self.channel = evolve_channel(self.channel, self.rho, self.evolve_rng)
 
     def forward(self, x, train: bool = True):
-        cov = self.fwd_cov if train else None
-        return self.layer.forward(x, self.channel, self.noise, self.rng_f, fwd_cov=cov)
+        y, transcript = self.layer.forward(x, self.channel, self.noise, self.rng_f)
+        if train:
+            inner = transcript["mix"] if isinstance(transcript, dict) else transcript
+            self.fwd_cov.update(np.hstack(inner.received))    # (n_rx, K*B)
+        return y, transcript
 
     def backward(self, transcript, g_y, train: bool = True):
-        cov = self.bwd_cov if train else None
-        res = self.layer.backward(transcript, g_y, self.channel, self.noise,
-                                  self.rng_b, bwd_cov=cov)
+        res = self.layer.backward(transcript, g_y, self.channel, self.noise, self.rng_b)
         self.comm_loss_value = 0.0
-        if train and self.comm_weight > 0.0:
-            self._inject_comm(transcript, res)
+        if train:
+            self.bwd_cov.update(np.hstack(res.received))      # (n_tx, K*B)
+            if self.comm_weight > 0.0:
+                self._inject_comm(transcript, res)
         return res
 
     def _inject_comm(self, transcript, res) -> None:
@@ -154,7 +162,9 @@ class SplitLink:
         conv = isinstance(self.layer, OacConvLayer)
         g_c, total = comm_loss_gradients(self.fwd_cov, inner.params["C"], inner.r,
                                          side="combiner", weight=self.comm_weight)
-        res.grads["mix.C" if conv else "C"] += g_c
+        name = "mix.C" if conv else "C"
+        if name in res.grads:
+            res.grads[name] += g_c
         if not conv and inner.n_in == inner.n_tx:
             # The transmit side steers its activations out of the same subspace.
             g_x, val = comm_loss_gradients(self.bwd_cov, transcript.x, inner.r,
@@ -162,9 +172,6 @@ class SplitLink:
             res.g_x = res.g_x + g_x
             total += val
         self.comm_loss_value = total
-
-    def trainable_parameters(self) -> dict:
-        return self.layer.trainable_parameters()
 
 
 @dataclass
@@ -196,16 +203,6 @@ class SplitSystem:
                 out[f"node{i}.{name}"] = arr
         for i, link in enumerate(self.links):
             for name, arr in link.layer.parameters().items():
-                out[f"link{i}.{name}"] = arr
-        return out
-
-    def trainable_parameters(self) -> dict:
-        out = {}
-        for i, node in enumerate(self.nodes):
-            for name, arr in node.parameters().items():
-                out[f"node{i}.{name}"] = arr
-        for i, link in enumerate(self.links):
-            for name, arr in link.trainable_parameters().items():
                 out[f"link{i}.{name}"] = arr
         return out
 
@@ -244,9 +241,7 @@ class SplitSystem:
         logits, ctx = self.forward(x, train=True)
         loss, g, acc = self.loss(logits, labels)
         grads = self.backward(ctx, g, train=True)
-        trainable = self.trainable_parameters()
-        grads = {k: v for k, v in grads.items() if k in trainable}
-        optimizer.step(trainable, grads)
+        optimizer.step(self.parameters(), grads)
         comm = sum((link.comm_loss_value for link in self.links), 0.0)
         return BatchMetrics(loss=loss, accuracy=acc, comm_loss=comm)
 

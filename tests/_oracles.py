@@ -77,6 +77,20 @@ def composed_weight(side, form, params, h, n_in, n_out, r, k_total):
     return w
 
 
+def full_precoder(side, form, params, n_in, r, k_total, k):
+    """The (n_tx, n_in) precoding matrix of transmission k, from raw params."""
+    if side == "transmitter":
+        if form == "combined":
+            return params["P"][k].copy()
+        return params["P"] @ params["W0"][k * r:(k + 1) * r, :]
+    p = params["P"]                                       # (n_tx, r)
+    out = np.zeros((p.shape[0], n_in), dtype=np.complex128)
+    hi = min(n_in, (k + 1) * r)
+    if hi > k * r:
+        out[:, k * r:hi] = p[:, :hi - k * r]
+    return out
+
+
 def full_combiner(side, form, params, n_out, r, k_total, k):
     """The (n_rx, n_out) combining matrix of transmission k, from raw params."""
     if side == "receiver":

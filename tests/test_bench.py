@@ -161,15 +161,19 @@ def test_build_system_requires_matching_channel_count():
 def test_ideal_baseline_freezes_matched_filters():
     cfg = _tiny_config(baseline="ideal")
     channel = sample_channel(4, 4, 6, make_rng(51, 2, 0))
-    system, _ = build_system(cfg, r=2, snr_db=float("inf"), seed=0,
-                             channels=[channel])
+    system, opt = build_system(cfg, r=2, snr_db=float("inf"), seed=0,
+                               channels=[channel])
     layer = system.links[0].layer
     p_want, c_want = ideal_matrices(channel, 2)
     np.testing.assert_array_equal(layer.params["P"], p_want)
     np.testing.assert_array_equal(layer.params["C"], c_want)
-    trainable = system.trainable_parameters()
-    assert "link0.P" not in trainable and "link0.C" not in trainable
-    assert "link0.W0" in trainable
+    before = {k: v.copy() for k, v in system.parameters().items()}
+    ds = generate_dataset(cfg.data)
+    system.train_batch(ds.train_x[:, :8], ds.train_y[:8], opt)
+    after = system.parameters()
+    np.testing.assert_array_equal(after["link0.P"], before["link0.P"])
+    np.testing.assert_array_equal(after["link0.C"], before["link0.C"])
+    assert not np.array_equal(after["link0.W0"], before["link0.W0"])
 
 
 def test_comm_penalty_enabled_by_weight():

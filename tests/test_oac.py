@@ -124,7 +124,8 @@ def test_forward_without_rescale_divides_by_the_recorded_scales(design):
     for k in range(layer.k_total):
         c_k = oracles.full_combiner(design.side, design.form, layer.params,
                                     n_out, r, layer.k_total, k)
-        p_k = layer.precoder(k)
+        p_k = oracles.full_precoder(design.side, design.form, layer.params,
+                                    n_in, r, layer.k_total, k)
         want = want + c_k.conj().T @ channel.matrix @ p_k @ x / transcript.a[k]
     np.testing.assert_allclose(y, want, atol=1e-10)
 
@@ -417,10 +418,23 @@ def test_kernel_mixing_equals_output_mixing():
     np.testing.assert_allclose(mixed_after, mixed_kernels, atol=1e-12)
 
 
-def test_frozen_parameters_are_excluded_from_training_view():
+def test_frozen_parameters_get_no_gradient():
     rng = make_rng(91)
+    channel = sample_channel(4, 4, 5, rng)
     layer = OacLayer(OacDesign("receiver", "separated"), 4, 4, 4, 4, 2, rng)
     layer.freeze("P", "C")
-    assert set(layer.trainable_parameters()) == {"W0", "b"}
+    _, transcript = layer.forward(crandn(rng, (4, 3)), channel, NOISELESS)
+    res = layer.backward(transcript, crandn(rng, (4, 3)), channel, NOISELESS)
+    assert set(res.grads) == {"W0", "b"}
+    assert set(layer.parameters()) == {"P", "C", "W0", "b"}
     with pytest.raises(KeyError):
         layer.freeze("missing")
+
+
+@pytest.mark.parametrize("design", ALL_DESIGNS, ids=str)
+def test_empty_batch_is_rejected_by_name(design):
+    rng = make_rng(92)
+    channel = sample_channel(4, 4, 5, rng)
+    layer = OacLayer(design, 4, 4, 4, 4, 2, rng)
+    with pytest.raises(ValueError, match="batch"):
+        layer.forward(np.zeros((4, 0), dtype=np.complex128), channel, NOISELESS)

@@ -6,8 +6,10 @@ import pytest
 from airsplit import runtime
 from airsplit.channel import NOISELESS, NoiseModel, sample_channel
 from airsplit.linalg import crandn, make_rng
-from airsplit.nn import Adam, ComplexNet, CRelu, Dense, modulus_softmax_loss
-from airsplit.oac import OacDesign, OacLayer, equivalent_weight
+from airsplit.nn import (
+    Adam, AvgPool2d, ComplexNet, Conv2d, CRelu, Dense, Flatten, modulus_softmax_loss,
+)
+from airsplit.oac import OacConvLayer, OacDesign, OacLayer, equivalent_weight
 from airsplit.runtime import (
     BatchMetrics, CovarianceTracker, RegretConfig, SplitLink,
     SplitSystem, comm_loss_gradients, regret_experiment,
@@ -128,14 +130,14 @@ def test_covariance_updates_only_on_training_passes():
     assert link.fwd_cov.count == 2 and link.bwd_cov.count == 2
 
 
-def test_train_batch_steps_every_trainable_parameter():
+def test_train_batch_steps_every_parameter():
     system, _ = _toy_system(114)
-    before = {k: v.copy() for k, v in system.trainable_parameters().items()}
+    before = {k: v.copy() for k, v in system.parameters().items()}
     x = crandn(make_rng(115), (3, 8))
     labels = make_rng(116).integers(0, 4, 8)
     metrics = system.train_batch(x, labels, Adam(lr=0.01))
     assert isinstance(metrics, BatchMetrics) and np.isfinite(metrics.loss)
-    after = system.trainable_parameters()
+    after = system.parameters()
     changed = [k for k in before if not np.array_equal(before[k], after[k])]
     assert set(changed) == set(before)     # every parameter moved
 
@@ -149,7 +151,7 @@ def test_training_is_deterministic():
             x = crandn(rng, (3, 6))
             labels = rng.integers(0, 4, 6)
             system.train_batch(x, labels, opt)
-        return system.trainable_parameters()
+        return system.parameters()
 
     a, b = run(), run()
     for name in a:
@@ -191,9 +193,58 @@ def test_channel_drift_needs_rng_and_is_reproducible():
     system2.train_batch(x, labels, Adam(lr=1e-3))
     np.testing.assert_array_equal(link.channel.matrix, link2.channel.matrix)
 
-    bad, _ = _toy_system(125, rho=0.5)
-    with pytest.raises(ValueError):
-        bad.train_batch(x, labels, Adam(lr=1e-3))
+    with pytest.raises(ValueError, match="evolve_rng"):
+        _toy_system(125, rho=0.5)
+
+
+@pytest.mark.parametrize("rho", [-0.1, 1.5, float("nan")])
+def test_link_rejects_a_drift_factor_outside_the_unit_interval(rho):
+    with pytest.raises(ValueError, match="rho"):
+        _toy_system(125, rho=rho, evolve_rng=make_rng(123))
+
+
+def test_frozen_combiner_keeps_its_value_under_the_comm_penalty():
+    system, link = _toy_system(130, comm_weight=1e-2)
+    link.layer.freeze("C")
+    c0 = link.layer.params["C"].copy()
+    rng = make_rng(131)
+    opt = Adam(lr=0.01)
+    for _ in range(3):
+        x = crandn(rng, (3, 6))
+        metrics = system.train_batch(x, rng.integers(0, 4, 6), opt)
+    np.testing.assert_array_equal(link.layer.params["C"], c0)
+    assert metrics.comm_loss > 0.0 and link.comm_loss_value == metrics.comm_loss
+
+
+def _conv_system(seed):
+    """Conv node -> over-the-air conv link -> pooled dense head, on (B, 2, 4, 4)."""
+    rng = make_rng(seed, 1)
+    channel = sample_channel(4, 4, 4, make_rng(seed, 2))
+    layer = OacConvLayer(3, 4, 3, OacDesign("receiver", "separated"), 4, 4, 2, rng)
+    link = SplitLink(layer, channel, NOISELESS, comm_weight=1e-2)
+    nodes = [ComplexNet([Conv2d(2, 3, 3, rng)]),
+             ComplexNet([AvgPool2d(), Flatten(), Dense(4, 3, rng)])]
+    return SplitSystem(nodes, [link]), link
+
+
+def test_conv_link_trains_tracks_and_evaluates_in_chunks():
+    system, link = _conv_system(132)
+    rng = make_rng(133)
+    x = crandn(rng, (7, 2, 4, 4))
+    labels = rng.integers(0, 3, 7)
+    loss_a, acc_a = system.evaluate(x, labels, batch_size=3)
+    loss_b, acc_b = system.evaluate(x, labels, batch_size=7)
+    assert abs(loss_a - loss_b) < 1e-12 and abs(acc_a - acc_b) < 1e-12
+    assert link.fwd_cov.count == 0 and link.bwd_cov.count == 0
+
+    before = {k: v.copy() for k, v in system.parameters().items()}
+    assert "link0.mix.C" in before and "link0.conv.kernels" in before
+    metrics = system.train_batch(x, labels, Adam(lr=0.01))
+    assert link.fwd_cov.count == 1 and link.bwd_cov.count == 1
+    assert np.isfinite(metrics.loss) and metrics.comm_loss > 0.0
+    after = system.parameters()
+    changed = [k for k in before if not np.array_equal(before[k], after[k])]
+    assert set(changed) == set(before)     # every parameter moved
 
 
 def test_evaluate_chunking_matches_single_pass():
