@@ -397,10 +397,16 @@ class OacLayer:
         back, grads = self._rx_adjoint(g_y, t.a if self.forward_rescale else ones, t)
         if "b" in self.params:
             grads["b"] = g_y.sum(axis=1)
-        sent, a_tilde = power_normalize(back.conj())
+        # This call owns the (K, ., B) stacks back, sent and stream_grads:
+        # conjugate and scale them in place, and drop back and sent once sent.
+        sent, a_tilde = power_normalize(np.conj(back, out=back))
+        del back
         received = transmit_backward(channel, sent, noise, rng)
+        del sent
         undo = a_tilde if self.backward_rescale else ones
-        stream_grads = undo[:, None, None] * received.conj() / t.a[:, None, None]
+        stream_grads = np.conj(received)
+        np.multiply(undo[:, None, None], stream_grads, out=stream_grads)
+        np.divide(stream_grads, t.a[:, None, None], out=stream_grads)
         _, g_x, tx_grads = self._tx_adjoint(t, stream_grads)
         grads.update(tx_grads)
         for name in self.frozen:

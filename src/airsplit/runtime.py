@@ -206,33 +206,52 @@ class SplitSystem:
                 out[f"link{i}.{name}"] = arr
         return out
 
-    def forward(self, x, train: bool = True):
-        ctx = []
+    def _stages(self):
+        """(kind, index, stage) in forward order: node 0, link 0, node 1, ..."""
         for i, node in enumerate(self.nodes):
-            x, caches = node.forward(x, train=train)
-            ctx.append(("node", caches))
+            yield "node", i, node
             if i < len(self.links):
-                x, transcript = self.links[i].forward(x, train=train)
-                ctx.append(("link", transcript))
+                yield "link", i, self.links[i]
+
+    def forward(self, x, train: bool = True):
+        """Run every node and link in order.  Returns (output, ctx).
+
+        A training pass records each node's caches and each link's transcript
+        in ctx, as (kind, record) in stage order, for backward.  An inference
+        pass records nothing and returns an empty ctx: each stage's record is
+        dropped as soon as the next stage has its input.
+        """
+        ctx = []
+        for kind, _, stage in self._stages():
+            x, record = stage.forward(x, train=train)
+            if train:
+                ctx.append((kind, record))
+            del record
         return x, ctx
 
     def backward(self, ctx, g, train: bool = True) -> dict:
+        """Walk the stages backward from the upstream gradient g.
+
+        Consumes the ctx of a training forward pass from its end: each
+        stage's record, and a link's backward result, are released once the
+        stage's gradients are taken, before the stage in front of it runs.
+        ctx is empty on return.  Returns the parameter gradients.
+        """
+        stages = list(self._stages())
+        if len(ctx) != len(stages):
+            raise ValueError(f"ctx holds {len(ctx)} records for {len(stages)} stages; "
+                             "only a training forward pass records them")
         grads = {}
-        node_idx = len(self.nodes) - 1
-        link_idx = len(self.links) - 1
-        for kind, payload in reversed(ctx):
+        for kind, i, stage in reversed(stages):
+            _, record = ctx.pop()
             if kind == "node":
-                g, node_grads = self.nodes[node_idx].backward(payload, g)
-                for name, arr in node_grads.items():
-                    grads[f"node{node_idx}.{name}"] = arr
-                node_idx -= 1
+                g, stage_grads = stage.backward(record, g)
             else:
-                link = self.links[link_idx]
-                res = link.backward(payload, g, train=train)
-                g = res.g_x
-                for name, arr in res.grads.items():
-                    grads[f"link{link_idx}.{name}"] = arr
-                link_idx -= 1
+                res = stage.backward(record, g, train=train)
+                g, stage_grads = res.g_x, res.grads
+                del res
+            for name, arr in stage_grads.items():
+                grads[f"{kind}{i}.{name}"] = arr
         return grads
 
     def train_batch(self, x, labels, optimizer) -> BatchMetrics:
@@ -246,12 +265,17 @@ class SplitSystem:
         return BatchMetrics(loss=loss, accuracy=acc, comm_loss=comm)
 
     def evaluate(self, x, labels, batch_size: int = 256):
-        """Mean loss and accuracy over x in fixed-size chunks.
+        """Mean loss and accuracy over x in chunks of batch_size samples.
 
         The links stay noisy (inference also happens over the air) but no
-        covariance is tracked and no parameter changes.
+        covariance is tracked, no parameter changes and no pass keeps a
+        record.  A batch_size below 1 or an empty x raises ValueError.
         """
+        if batch_size < 1:
+            raise ValueError(f"batch_size = {batch_size} must be >= 1")
         n = x.shape[-1] if x.ndim == 2 else x.shape[0]
+        if n == 0:
+            raise ValueError(f"evaluate got an empty batch, x of shape {x.shape}")
         total_loss, correct = 0.0, 0.0
         for start in range(0, n, batch_size):
             sl = slice(start, min(start + batch_size, n))

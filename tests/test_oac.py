@@ -6,7 +6,7 @@ import pytest
 
 import _oracles as oracles
 from airsplit.channel import NOISELESS, NoiseModel, sample_channel
-from airsplit.linalg import crandn, make_rng, svd
+from airsplit.linalg import crandn, make_rng, matrix_rank, svd
 from airsplit.oac import (
     ALL_DESIGNS, ChannelRankError, FeasibilityError, FeasibilityWarning,
     OacConvLayer, OacDesign, OacLayer, decompose_weight, equivalent_weight,
@@ -197,15 +197,56 @@ def test_explicit_use_count_realizes_the_truncated_map(design, n_in, n_out, k):
 
 
 @pytest.mark.parametrize("design", ALL_DESIGNS, ids=str)
-@pytest.mark.parametrize("r, batch, scale", [(2, 4, 0.0), (2, 1, 1.0), (1, 4, 1.0)],
-                         ids=["zero_input", "batch_1", "r_1"])
-def test_edge_shapes_match_the_oracles(design, r, batch, scale):
-    # An all-zero batch sends every use's forward block with a = 1.
+@pytest.mark.parametrize("n_in, n_out, n_tx, n_rx, r, n_paths, batch, scale", [
+    (5, 3, 4, 3, 2, 5, 4, 0.0),
+    (5, 3, 4, 3, 2, 5, 1, 1.0),
+    (5, 3, 4, 3, 1, 5, 4, 1.0),
+    (3, 2, 5, 4, 4, 5, 4, 1.0),
+    (5, 4, 4, 5, 3, 2, 4, 1.0),
+], ids=["zero_input", "batch_1", "r_1", "r_covers_the_layer", "rank_deficient_channel"])
+def test_edge_shapes_match_the_oracles(design, n_in, n_out, n_tx, n_rx, r, n_paths,
+                                       batch, scale):
+    # An all-zero batch sends every use's forward block with a = 1.  r >= n_in,
+    # n_out: one use, its chunk zero-padded past the layer.  n_paths < r: the
+    # channel cannot carry every stream, so W_eff is rank deficient, but
+    # forward and backward still realize it exactly.
     rng = make_rng(93, r, batch)
-    channel = sample_channel(4, 3, 5, rng)
-    layer = OacLayer(design, 5, 3, 4, 3, r, rng)
-    x = scale * crandn(rng, (5, batch))
+    channel = sample_channel(n_tx, n_rx, n_paths, rng)
+    assert matrix_rank(channel.matrix) == min(n_paths, n_tx, n_rx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FeasibilityWarning)
+        layer = OacLayer(design, n_in, n_out, n_tx, n_rx, r, rng)
+    x = scale * crandn(rng, (n_in, batch))
     _check_noiseless_against_oracles(layer, channel, x, rng)
+
+
+@pytest.mark.parametrize("design", ALL_DESIGNS, ids=str)
+def test_valid_conv_layer_matches_the_oracles(design):
+    # 'valid' padding with an even kernel: 4x4 maps shrink to 3x3 before the
+    # channel mixes them; the mixer has K = 2 uses of r = 2 over 3 channels.
+    rng = make_rng(95, ALL_DESIGNS.index(design))
+    channel = sample_channel(4, 4, 4, rng)
+    layer = OacConvLayer(2, 3, 2, design, 4, 4, 2, rng, padding="valid")
+    x = crandn(rng, (2, 2, 4, 4))
+    y, cache = layer.forward(x, channel, NOISELESS)
+    assert y.shape == (2, 3, 3, 3)
+    z, _ = layer.conv.forward(x)
+    w = oracles.composed_weight(design.side, design.form, layer.mix.params,
+                                channel.matrix, 3, 3, 2, layer.mix.k_total)
+    want = mix_channels(w, z) + layer.mix.params["b"].reshape(1, 3, 1, 1)
+    np.testing.assert_allclose(y, want, atol=1e-10)
+    t = y - crandn(rng, y.shape)
+
+    def loss():
+        out, _ = layer.forward(x, channel, NOISELESS)
+        return float(np.sum(np.abs(out - t) ** 2))
+
+    res = layer.backward(cache, y - t, channel, NOISELESS)
+    assert set(res.grads) == set(layer.parameters())
+    for name, arr in layer.parameters().items():
+        np.testing.assert_allclose(res.grads[name], oracles.fd_gradient(loss, arr),
+                                   atol=5e-5, err_msg=f"{design} parameter {name}")
+    np.testing.assert_allclose(res.g_x, oracles.fd_gradient(loss, x), atol=5e-5)
 
 
 @pytest.mark.parametrize("design", ALL_DESIGNS, ids=str)

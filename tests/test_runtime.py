@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -108,14 +109,14 @@ def test_comm_loss_is_nan_and_svd_free_for_an_overflowed_tracker(monkeypatch, ba
 def test_split_forward_composes_nodes_and_link():
     system, link = _toy_system(110)
     x = crandn(make_rng(111), (3, 5))
-    y, ctx = system.forward(x, train=False)
+    y, _ = system.forward(x, train=False)
     h1, _ = system.nodes[0].forward(x, train=False)
     w_eff = equivalent_weight(link.layer, link.channel)
     mid = w_eff @ h1 + link.layer.params["b"][:, None]
     want, _ = system.nodes[1].forward(mid, train=False)
     np.testing.assert_allclose(y, want, atol=1e-10)
-    kinds = [k for k, _ in ctx]
-    assert kinds == ["node", "link", "node"]
+    _, ctx = system.forward(x, train=True)
+    assert [k for k, _ in ctx] == ["node", "link", "node"]
 
 
 def test_covariance_updates_only_on_training_passes():
@@ -163,7 +164,9 @@ def test_comm_penalty_moves_combiner_gradients():
     system_b, link_b = _toy_system(119)
     x = crandn(make_rng(120), (3, 6))
     labels = make_rng(121).integers(0, 4, 6)
-    # first batch: trackers are empty, so the penalty is zero everywhere
+    # A first batch at lr 0 moves no parameter, but its penalty is already on:
+    # the link fills fwd_cov in forward and bwd_cov before its penalty in
+    # backward, so no batch trains with an empty tracker.
     system_a.train_batch(x, labels, Adam(lr=0.0))
     logits, ctx = system_a.forward(x, train=True)
     _, g, _ = system_a.loss(logits, labels)
@@ -254,6 +257,93 @@ def test_evaluate_chunking_matches_single_pass():
     loss_a, acc_a = system.evaluate(x, labels, batch_size=7)
     loss_b, acc_b = system.evaluate(x, labels, batch_size=30)
     assert abs(loss_a - loss_b) < 1e-12 and abs(acc_a - acc_b) < 1e-12
+
+
+@pytest.mark.parametrize("batch_size, n, match", [
+    (-2, 5, r"batch_size = -2 must be >= 1"),
+    (0, 5, r"batch_size = 0 must be >= 1"),
+    (4, 0, r"empty batch"),
+])
+def test_evaluate_rejects_a_bad_batch_size_or_an_empty_batch(batch_size, n, match):
+    system, _ = _toy_system(138)
+    x = crandn(make_rng(139), (3, n))
+    with pytest.raises(ValueError, match=match):
+        system.evaluate(x, np.zeros(n, dtype=int), batch_size=batch_size)
+
+
+def _two_link_system(seed, n, r):
+    """Three nodes joined by two noisy n x n receiver/separated links."""
+    rng = make_rng(seed, 1)
+    nodes = [ComplexNet([Dense(3, n, rng), CRelu()]),
+             ComplexNet([Dense(n, n, rng), CRelu()]),
+             ComplexNet([Dense(n, 4, rng)])]
+    links = []
+    for i in range(2):
+        layer = OacLayer(OacDesign("receiver", "separated"), n, n, n, n, r, rng)
+        links.append(SplitLink(layer, sample_channel(n, n, n, make_rng(seed, 2, i)),
+                               NoiseModel(snr_db=10.0), noise_rng_f=make_rng(seed, 3, i),
+                               noise_rng_b=make_rng(seed, 4, i)))
+    return SplitSystem(nodes, links)
+
+
+def test_evaluate_peak_memory_stays_near_one_link_pass():
+    # An inference pass keeps no transcript, so link 0's (K, n, B) transmitted
+    # and received stacks are gone before link 1 sends.  Holding every record
+    # until the logits exist measured 2.7 pairs; one link's own pass (its
+    # stacks and power_normalize's copy) measures 1.44.
+    n, batch = 32, 128
+    system = _two_link_system(134, n, r=4)
+    pair_bytes = 2 * system.links[0].layer.k_total * n * batch * 16
+    rng = make_rng(135)
+    x = crandn(rng, (3, batch))
+    labels = rng.integers(0, 4, batch)
+    system.evaluate(x, labels, batch_size=batch)
+    tracemalloc.start()
+    try:
+        system.evaluate(x, labels, batch_size=batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / pair_bytes < 1.6
+
+
+def test_backward_consumes_ctx_and_frees_each_stage():
+    system = _two_link_system(136, 8, r=2)
+    rng = make_rng(137)
+    x = crandn(rng, (3, 6))
+    labels = rng.integers(0, 4, 6)
+    assert system.forward(x, train=False)[1] == []
+    logits, ctx = system.forward(x, train=True)
+    assert [kind for kind, _ in ctx] == ["node", "link", "node", "link", "node"]
+    refs = [weakref.ref(payload) for kind, payload in ctx if kind == "link"]
+
+    def recording(backward):
+        def wrapped(*args, **kwargs):
+            res = backward(*args, **kwargs)
+            refs.append(weakref.ref(res))
+            return res
+        return wrapped
+
+    for link in system.links:
+        link.backward = recording(link.backward)
+    alive = []
+    node0_backward = system.nodes[0].backward
+
+    def first_node_backward(caches, g):
+        alive.extend(ref() is not None for ref in refs)
+        return node0_backward(caches, g)
+
+    system.nodes[0].backward = first_node_backward
+    _, g, _ = system.loss(logits, labels)
+    grads = system.backward(ctx, g)
+    assert ctx == []
+    # by the time the first node runs, both links' transcripts and backward
+    # results are released
+    assert alive == [False] * 4
+    assert {name.split(".")[0] for name in grads} == {
+        "node0", "node1", "node2", "link0", "link1"}
+    with pytest.raises(ValueError, match="ctx holds 0 records for 5 stages"):
+        system.backward(ctx, g)
 
 
 def test_system_shape_validation():
