@@ -30,8 +30,8 @@ print()
 print("== the transcript shows what actually went over the air ==")
 layer = OacLayer(OacDesign("receiver", "separated"), 6, 5, 4, 4, 2, rng)
 _, transcript = layer.forward(x, channel, NOISELESS)
-for rec in transcript.to_records():
-    print(f"use {rec['use']}: transmit scale {rec['scale']:.3f}")
+for k, scale in enumerate(transcript.a):
+    print(f"use {k}: transmit scale {scale:.3f}")
 print("scales renormalize every transmission to unit average power")
 
 print()

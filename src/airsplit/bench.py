@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -112,14 +113,22 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
              "must be 'transmitter' or 'receiver'")
     _require(cfg.form in ("auto", "combined", "separated"), "form",
              "must be 'auto', 'combined' or 'separated'")
-    _require(len(cfg.r_values) > 0, "r_values", "must not be empty")
+    for name, least in (("r_values", 1), ("seeds", 0)):
+        values = getattr(cfg, name)
+        _require(len(values) > 0, name, "must not be empty")
+        _require(all(isinstance(v, numbers.Integral) and v >= least for v in values),
+                 name, f"entries {values} must be integers >= {least}")
     streams = min(cfg.n_tx, cfg.n_rx)
-    for r in cfg.r_values:
-        _require(int(r) >= 1, "r_values", "entries must be >= 1")
-        _require(int(r) <= streams, "r_values", f"entry {r} exceeds "
-                 f"min(n_tx, n_rx) = {streams}, the most streams a use carries")
+    _require(max(cfg.r_values) <= streams, "r_values", f"entry {max(cfg.r_values)} "
+             f"exceeds min(n_tx, n_rx) = {streams}, the most streams a use carries")
     _require(len(cfg.snr_values) > 0, "snr_values", "must not be empty")
-    _require(len(cfg.seeds) > 0, "seeds", "must not be empty")
+    _require(all(isinstance(v, numbers.Real) and v > -math.inf for v in cfg.snr_values),
+             "snr_values", f"entries {cfg.snr_values} must be dB or inf (noiseless), "
+             "not nan or -inf")
+    for name in ("r_values", "snr_values", "seeds"):
+        values = getattr(cfg, name)
+        _require(len(set(values)) == len(values), name,
+                 f"entries {values} repeat; a repeated run overwrites its curve file")
     _require(0.0 <= cfg.rho <= 1.0, "rho", "must lie in [0, 1]")
     _require(cfg.baseline in ("proposed", "ideal", "centralized"), "baseline",
              "must be 'proposed', 'ideal' or 'centralized'")
@@ -143,7 +152,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def _snr_to_json(v):
-    return "inf" if math.isinf(v) else float(v)
+    return str(v) if math.isinf(v) else float(v)
 
 
 def _snr_from_json(v, path: str) -> float:
@@ -190,7 +199,9 @@ def config_from_dict(record: dict) -> ExperimentConfig:
             _snr_from_json(v, "snr_values") for v in record["snr_values"])
     for key in ("r_values", "seeds"):
         if key in record:
-            record[key] = tuple(int(v) for v in record[key])
+            # JSON may spell an integer 2.0; 2.7 stays as it is and fails validation.
+            record[key] = tuple(int(v) if isinstance(v, float) and v.is_integer() else v
+                                for v in record[key])
     try:
         cfg = ExperimentConfig(**record)
     except TypeError as exc:

@@ -14,6 +14,7 @@ gradients ride the channel without any channel estimation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,7 +163,7 @@ class NoiseModel:
     Exactly one of sigma2 (per-antenna complex noise variance) or snr_db
     (target channel signal-to-noise ratio) must be given.  With snr_db, the
     total noise power is derived from the channel's spectral norm, then split
-    evenly across receive antennas.
+    evenly across receive antennas.  sigma2 must be >= 0 and snr_db finite.
     """
 
     sigma2: float | None = None
@@ -171,8 +172,10 @@ class NoiseModel:
     def __post_init__(self):
         if (self.sigma2 is None) == (self.snr_db is None):
             raise ValueError("specify exactly one of sigma2 or snr_db")
-        if self.sigma2 is not None and self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
+        if self.sigma2 is not None and not self.sigma2 >= 0:
+            raise ValueError(f"sigma2 = {self.sigma2} must be >= 0")
+        if self.snr_db is not None and not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db = {self.snr_db} must be finite")
 
     def total_power(self, state: ChannelState) -> float:
         """Total noise power across the receiving array."""

@@ -150,29 +150,15 @@ def _hermitian(m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Transcript:
-    """Everything both nodes recorded during one forward pass."""
+    """What one forward pass leaves for backward: the scales the receiver was
+    told, what its antennas picked up, and the two ends' local inputs.  The
+    sent blocks are not kept: the gradient returns through H^T."""
 
-    design: OacDesign
-    k_total: int
-    batch: int
     a: np.ndarray                    # (K,) per-use transmit scale
-    transmitted: np.ndarray          # (K, n_tx, B) normalized blocks that hit the air
     received: np.ndarray             # (K, n_rx, B) raw antenna blocks at the receiver
     x: np.ndarray                    # layer input
     u: np.ndarray                    # precoder input: x, or (K, r, B) chunks of x or W0 x
     z: np.ndarray                    # (K, ., B) scaled per-use combiner outputs
-
-    def to_records(self):
-        """Structured per-use records for debugging and export."""
-        return [
-            {
-                "use": k,
-                "scale": float(self.a[k]),
-                "transmitted": self.transmitted[k],
-                "received": self.received[k],
-            }
-            for k in range(self.k_total)
-        ]
 
 
 @dataclass
@@ -222,8 +208,7 @@ class OacLayer:
             raise ValueError("need at least one channel use")
         self.forward_rescale = forward_rescale
         self.backward_rescale = backward_rescale
-        self.feasibility_warning = not feasible(self.k_total, r, n_in, n_out)
-        if self.feasibility_warning:
+        if not feasible(self.k_total, r, n_in, n_out):
             warnings.warn(
                 f"K*r = {self.k_total * r} < min(n_in, n_out) = {min(n_in, n_out)}; "
                 "the layer cannot reach full rank",
@@ -372,11 +357,7 @@ class OacLayer:
         y, z = self._rx(received, a if self.forward_rescale else np.ones(self.k_total))
         if "b" in self.params:
             y = y + self.params["b"][:, None]
-        transcript = Transcript(
-            design=self.design, k_total=self.k_total, batch=x.shape[1], a=a,
-            transmitted=sent, received=received, x=x, u=u, z=z,
-        )
-        return y, transcript
+        return y, Transcript(a=a, received=received, x=x, u=u, z=z)
 
     def backward(self, transcript: Transcript, g_y: np.ndarray, channel: ChannelState,
                  noise: NoiseModel, rng: np.random.Generator | None = None):
@@ -390,8 +371,8 @@ class OacLayer:
         """
         t = transcript
         g_y = np.asarray(g_y, dtype=np.complex128)
-        if g_y.shape != (self.n_out, t.batch):
-            raise ValueError(f"expected ({self.n_out}, {t.batch}) gradient, "
+        if g_y.shape != (self.n_out, t.x.shape[1]):
+            raise ValueError(f"expected ({self.n_out}, {t.x.shape[1]}) gradient, "
                              f"got {g_y.shape}")
         ones = np.ones(self.k_total)
         back, grads = self._rx_adjoint(g_y, t.a if self.forward_rescale else ones, t)
@@ -437,12 +418,10 @@ def decompose_weight(w: np.ndarray, channel: ChannelState, k: int, r: int):
             f"k*r = {k * r} < min(n_in, n_out) = {min(n_in, n_out)}")
     side = "transmitter" if n_in >= n_out else "receiver"
     layer = layer_from_weight(w, channel, OacDesign(side, "combined"), r, k=k, bias=False)
-    p_stack, c_stack = layer._precoders(), layer._combiners()
-    recon = np.sum(_hermitian(c_stack) @ channel.matrix @ p_stack, axis=0)
-    err = np.linalg.norm(recon - w) / max(np.linalg.norm(w), 1e-300)
+    err = np.linalg.norm(equivalent_weight(layer, channel) - w) / max(np.linalg.norm(w), 1e-300)
     if err > 1e-8:
         raise FeasibilityError(f"reconstruction failed, relative error {err:.2e}")
-    return list(p_stack), list(c_stack)
+    return list(layer._precoders()), list(layer._combiners())
 
 
 def ideal_matrices(channel: ChannelState, r: int):
@@ -600,11 +579,11 @@ class OacConvLayer:
         pix = z.transpose(1, 0, 2, 3).reshape(c, b * ho * wo)
         y_vec, transcript = self.mix.forward(pix, channel, noise, rng)
         y = y_vec.reshape(c, b, ho, wo).transpose(1, 0, 2, 3)
-        return y, {"conv": conv_cache, "mix": transcript, "shape": (b, c, ho, wo)}
+        return y, {"conv": conv_cache, "mix": transcript}
 
     def backward(self, cache, g_y: np.ndarray, channel: ChannelState, noise: NoiseModel,
                  rng: np.random.Generator | None = None):
-        b, c, ho, wo = cache["shape"]
+        b, c, ho, wo = g_y.shape
         g_vec = g_y.transpose(1, 0, 2, 3).reshape(c, b * ho * wo)
         res = self.mix.backward(cache["mix"], g_vec, channel, noise, rng)
         g_z = res.g_x.reshape(c, b, ho, wo).transpose(1, 0, 2, 3)

@@ -8,7 +8,7 @@ transporting its upstream gradient through the reverse channel direction.
 Both ends of a link maintain an exponential moving average of the covariance
 of what they receive.  Its weak eigenvectors span the subspace the channel
 does not deliver; an optional auxiliary loss pushes combiners (and the
-transmitted activations) out of that subspace.
+activations a node sends) out of that subspace.
 """
 from __future__ import annotations
 
@@ -107,11 +107,11 @@ class SplitLink:
 
     rho in [0, 1]; rho > 0 makes the channel drift between batches and needs
     evolve_rng; evolve() is called once per training batch by the system.
-    On training passes the link updates each tracker once from the received
-    (K, ., B) stack of its direction, the uses side by side; evaluation
-    passes leave them alone.  comm_weight > 0 adds the weak-subspace penalty
-    of that weight to training passes; 0 turns it off.  A frozen combiner
-    gets no penalty gradient, but its penalty is still reported.
+    A training forward, and every backward, updates its direction's tracker
+    once from the received (K, ., B) stack, the uses side by side; an
+    evaluation forward leaves it alone.  comm_weight > 0 adds the weak-subspace
+    penalty of that weight to every backward; 0 turns it off.  A frozen
+    combiner gets no penalty gradient, but its penalty is still reported.
     """
 
     def __init__(self, layer, channel: ChannelState, noise: NoiseModel,
@@ -147,13 +147,12 @@ class SplitLink:
             self.fwd_cov.update(np.hstack(inner.received))    # (n_rx, K*B)
         return y, transcript
 
-    def backward(self, transcript, g_y, train: bool = True):
+    def backward(self, transcript, g_y):
         res = self.layer.backward(transcript, g_y, self.channel, self.noise, self.rng_b)
+        self.bwd_cov.update(np.hstack(res.received))          # (n_tx, K*B)
         self.comm_loss_value = 0.0
-        if train:
-            self.bwd_cov.update(np.hstack(res.received))      # (n_tx, K*B)
-            if self.comm_weight > 0.0:
-                self._inject_comm(transcript, res)
+        if self.comm_weight > 0.0:
+            self._inject_comm(transcript, res)
         return res
 
     def _inject_comm(self, transcript, res) -> None:
@@ -229,7 +228,7 @@ class SplitSystem:
             del record
         return x, ctx
 
-    def backward(self, ctx, g, train: bool = True) -> dict:
+    def backward(self, ctx, g) -> dict:
         """Walk the stages backward from the upstream gradient g.
 
         Consumes the ctx of a training forward pass from its end: each
@@ -247,7 +246,7 @@ class SplitSystem:
             if kind == "node":
                 g, stage_grads = stage.backward(record, g)
             else:
-                res = stage.backward(record, g, train=train)
+                res = stage.backward(record, g)
                 g, stage_grads = res.g_x, res.grads
                 del res
             for name, arr in stage_grads.items():
@@ -259,7 +258,7 @@ class SplitSystem:
             link.evolve()
         logits, ctx = self.forward(x, train=True)
         loss, g, acc = self.loss(logits, labels)
-        grads = self.backward(ctx, g, train=True)
+        grads = self.backward(ctx, g)
         optimizer.step(self.parameters(), grads)
         comm = sum((link.comm_loss_value for link in self.links), 0.0)
         return BatchMetrics(loss=loss, accuracy=acc, comm_loss=comm)

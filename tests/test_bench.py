@@ -56,6 +56,26 @@ def test_validate_rejects_more_streams_than_antennas():
     validate_config(dataclasses.replace(cfg, r_values=(16,)))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, values", [
+    ("snr_values", (NAN,)), ("snr_values", (-INF,)), ("snr_values", (10.0, 10)),
+    ("r_values", (2.5,)), ("r_values", (2.7,)), ("r_values", (4, 4)),
+    ("seeds", (0, 0)), ("seeds", (0.5,)), ("seeds", (-1,)),
+], ids=str)
+def test_configs_the_math_cannot_honour_fail_by_name(field, values):
+    cfg = dataclasses.replace(ExperimentConfig(), **{field: values})
+    with pytest.raises(ConfigError, match=field):
+        validate_config(cfg)
+    # Read back from JSON, the entries are neither truncated nor rewritten.
+    record = config_to_dict(cfg)
+    if field != "snr_values":
+        record[field] = list(values)
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict(json.loads(json.dumps(record)))
+
+
 def test_config_dict_round_trip_including_inf():
     cfg = dataclasses.replace(preset("sparse_3node"),
                               snr_values=(float("inf"), 10.0))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -122,6 +123,11 @@ def test_noise_model_requires_exactly_one_spec():
         NoiseModel(sigma2=0.1, snr_db=10.0)
     with pytest.raises(ValueError):
         NoiseModel(sigma2=-1.0)
+    # values that would otherwise transmit the noiseless result
+    for spec in (dict(sigma2=math.nan), dict(snr_db=math.nan), dict(snr_db=math.inf),
+                 dict(snr_db=-math.inf)):
+        with pytest.raises(ValueError, match=next(iter(spec))):
+            NoiseModel(**spec)
 
 
 def test_snr_specified_noise_round_trips_through_channel_snr():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -80,10 +81,12 @@ def test_undersized_use_count_warns():
     with pytest.warns(FeasibilityWarning):
         layer = OacLayer(OacDesign("transmitter", "combined"), 6, 6, 4, 4, 2,
                          make_rng(71), k=1)
-    assert layer.feasibility_warning
-    layer2 = OacLayer(OacDesign("transmitter", "combined"), 6, 6, 4, 4, 2,
-                      make_rng(71))
-    assert layer2.k_total == 3 and not layer2.feasibility_warning
+    assert layer.k_total == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        layer2 = OacLayer(OacDesign("transmitter", "combined"), 6, 6, 4, 4, 2,
+                          make_rng(71))
+    assert layer2.k_total == 3
 
 
 def test_more_streams_than_antennas_warns():
@@ -107,7 +110,6 @@ def test_noiseless_forward_matches_composed_map(design, size):
     w = _composed(layer, channel)
     np.testing.assert_allclose(y, w @ x + layer.params["b"][:, None], atol=1e-10)
     np.testing.assert_allclose(equivalent_weight(layer, channel), w, atol=1e-12)
-    assert transcript.k_total == layer.k_total
     assert len(transcript.a) == layer.k_total
 
 
@@ -299,25 +301,40 @@ def test_transcript_records_the_pipeline():
     x = crandn(rng, (6, 2))
     _, transcript = layer.forward(x, channel, NOISELESS)
     k = layer.k_total
-    assert transcript.batch == 2
     assert transcript.a.shape == (k,)
-    assert transcript.transmitted.shape == (k, 4, 2)
     assert transcript.received.shape == (k, 4, 2)
-    # every use went out at unit average power and arrived through H
-    power = np.mean(np.sum(np.abs(transcript.transmitted) ** 2, axis=1), axis=1)
+    # every use went out at unit average power and arrived through H; the
+    # record keeps no sent blocks, so rebuild them from the input and scales
+    sent = layer._tx(x)[1] / transcript.a[:, None, None]
+    power = np.mean(np.sum(np.abs(sent) ** 2, axis=1), axis=1)
     np.testing.assert_allclose(power, np.ones(k), atol=1e-12)
-    np.testing.assert_allclose(transcript.received,
-                               channel.matrix @ transcript.transmitted, atol=1e-12)
-    records = transcript.to_records()
-    assert [rec["use"] for rec in records] == list(range(k))
-    for rec in records:
-        assert rec["scale"] == transcript.a[rec["use"]]
-        np.testing.assert_array_equal(rec["transmitted"],
-                                      transcript.transmitted[rec["use"]])
-        np.testing.assert_array_equal(rec["received"], transcript.received[rec["use"]])
+    np.testing.assert_allclose(transcript.received, channel.matrix @ sent, atol=1e-12)
     res = layer.backward(transcript, crandn(rng, (6, 2)), channel, NOISELESS)
     assert res.a_tilde.shape == (k,)
     assert res.received.shape == res.stream_grads.shape == (k, 4, 2)
+
+
+@pytest.mark.parametrize("design", [OacDesign("transmitter", "combined"),
+                                    OacDesign("receiver", "separated")], ids=str)
+def test_forward_record_holds_little_more_than_the_received_stack(design):
+    # Backward reads the scales, the (K, n, B) received stack and the two
+    # ends' local inputs x, u and z, each (., B) with r rows per use: an
+    # eighth of the stack here.  Keeping the sent stack too measured 2.25
+    # (transmitter/combined) and 2.38 (receiver/separated) received stacks.
+    n, batch, r = 64, 64, 8
+    rng = make_rng(79)
+    channel = sample_channel(n, n, 8, rng)
+    layer = OacLayer(design, n, n, n, n, r, rng)
+    x = crandn(rng, (n, batch))
+    noise, noise_rng = NoiseModel(snr_db=10.0), make_rng(80)
+    layer.forward(x, channel, noise, noise_rng)
+    tracemalloc.start()
+    try:
+        transcript = layer.forward(x, channel, noise, noise_rng)[1]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / transcript.received.nbytes < 1.75
 
 
 def test_noisy_transmission_requires_rng():

@@ -170,13 +170,13 @@ def test_comm_penalty_moves_combiner_gradients():
     system_a.train_batch(x, labels, Adam(lr=0.0))
     logits, ctx = system_a.forward(x, train=True)
     _, g, _ = system_a.loss(logits, labels)
-    grads_a = system_a.backward(ctx, g, train=True)
+    grads_a = system_a.backward(ctx, g)
     assert link_a.comm_loss_value > 0.0
 
     system_b.train_batch(x, labels, Adam(lr=0.0))
     logits, ctx = system_b.forward(x, train=True)
     _, g, _ = system_b.loss(logits, labels)
-    grads_b = system_b.backward(ctx, g, train=True)
+    grads_b = system_b.backward(ctx, g)
     assert link_b.comm_loss_value == 0.0
     name = "link0.C"
     assert not np.allclose(grads_a[name], grads_b[name])
@@ -287,8 +287,8 @@ def _two_link_system(seed, n, r):
 
 
 def test_evaluate_peak_memory_stays_near_one_link_pass():
-    # An inference pass keeps no transcript, so link 0's (K, n, B) transmitted
-    # and received stacks are gone before link 1 sends.  Holding every record
+    # An inference pass keeps no transcript, so link 0's (K, n, B) sent and
+    # received stacks are gone before link 1 sends.  Holding every record
     # until the logits exist measured 2.7 pairs; one link's own pass (its
     # stacks and power_normalize's copy) measures 1.44.
     n, batch = 32, 128

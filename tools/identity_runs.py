@@ -1,0 +1,79 @@
+"""Write the byte-identity reference runs of this tree into one directory.
+
+Usage::
+
+    python tools/identity_runs.py OUT_DIR
+
+Runs ``run_experiment`` for 16 short configs (40 steps, seed 0, eval every
+20 steps, log every 10, BLAS on one thread) into ``OUT_DIR/<config>``:
+moving_3node and sparse_3node (comm loss on) under all four side x form
+designs, massive_3node, complex_2node proposed and centralized, moving_3node
+with SGD, the ideal baseline with Adam and with SGD, forward_rescale off,
+and sparse_3node combined with r = 3 (padded chunks).  A change that must
+not move a byte is checked by running this in the parent checkout and in
+the changed one, then ``diff -r`` over the two directories.  Exits 1 unless
+every run ends ``ok``.
+"""
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+# One BLAS thread, so reductions add in one order; set before numpy loads.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import dataclasses  # noqa: E402
+
+from airsplit.bench import preset, run_experiment  # noqa: E402
+
+
+def _short(name: str, **fields):
+    cfg = preset(name)
+    train = dataclasses.replace(cfg.train, steps=40, eval_every=20, log_every=10,
+                                **fields.pop("train", {}))
+    return dataclasses.replace(cfg, seeds=(0,), train=train, **fields)
+
+
+def identity_configs() -> dict:
+    """The 16 configs by output directory name."""
+    out = {}
+    for name in ("moving_3node", "sparse_3node"):
+        for side in ("transmitter", "receiver"):
+            for form in ("combined", "separated"):
+                out[f"{name}_{side}_{form}"] = _short(name, side=side, form=form)
+    out["massive_3node"] = _short("massive_3node")
+    out["complex_2node"] = _short("complex_2node")
+    out["complex_2node_centralized"] = _short("complex_2node", baseline="centralized")
+    out["moving_3node_sgd"] = _short("moving_3node", train={"optimizer": "sgd"})
+    out["moving_3node_ideal"] = _short("moving_3node", baseline="ideal")
+    out["moving_3node_ideal_sgd"] = _short("moving_3node", baseline="ideal",
+                                           train={"optimizer": "sgd"})
+    out["moving_3node_no_forward_rescale"] = _short("moving_3node", forward_rescale=False)
+    out["sparse_3node_combined_r3"] = _short("sparse_3node", form="combined", r_values=(3,))
+    return out
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python tools/identity_runs.py OUT_DIR", file=sys.stderr)
+        return 2
+    out = Path(args[0])
+    bad = []
+    for name, cfg in identity_configs().items():
+        for row in run_experiment(cfg, out / name):
+            print(f"{name}: r={row['r']} seed={row['seed']} {row['status']}")
+            if row["status"] != "ok":
+                bad.append(name)
+    if bad:
+        print(f"not ok: {', '.join(bad)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
