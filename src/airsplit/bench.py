@@ -164,11 +164,17 @@ def _snr_from_json(v, path: str) -> float:
         raise ConfigError(f"{path}: expected a number or 'inf', got {v!r}") from None
 
 
+def _int_to_json(v):
+    # An integer (numpy's too) is written as one; anything else is written as
+    # it is, so an invalid entry reads back invalid instead of truncated.
+    return int(v) if isinstance(v, numbers.Integral) else v
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     out = dataclasses.asdict(cfg)
-    out["r_values"] = [int(r) for r in cfg.r_values]
+    out["r_values"] = [_int_to_json(r) for r in cfg.r_values]
     out["snr_values"] = [_snr_to_json(s) for s in cfg.snr_values]
-    out["seeds"] = [int(s) for s in cfg.seeds]
+    out["seeds"] = [_int_to_json(s) for s in cfg.seeds]
     return out
 
 

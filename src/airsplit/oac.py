@@ -158,7 +158,7 @@ class Transcript:
     received: np.ndarray             # (K, n_rx, B) raw antenna blocks at the receiver
     x: np.ndarray                    # layer input
     u: np.ndarray                    # precoder input: x, or (K, r, B) chunks of x or W0 x
-    z: np.ndarray                    # (K, ., B) scaled per-use combiner outputs
+    z: np.ndarray | None             # (K, r, B) scaled combiner outputs for a receiver W0, else None
 
 
 @dataclass
@@ -357,7 +357,8 @@ class OacLayer:
         y, z = self._rx(received, a if self.forward_rescale else np.ones(self.k_total))
         if "b" in self.params:
             y = y + self.params["b"][:, None]
-        return y, Transcript(a=a, received=received, x=x, u=u, z=z)
+        return y, Transcript(a=a, received=received, x=x, u=u,
+                             z=z if self.rx_mode == "w0" else None)
 
     def backward(self, transcript: Transcript, g_y: np.ndarray, channel: ChannelState,
                  noise: NoiseModel, rng: np.random.Generator | None = None):

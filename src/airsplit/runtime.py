@@ -358,20 +358,21 @@ def _regret_data(cfg: RegretConfig, rng: np.random.Generator, chunk: np.ndarray)
         done += n
 
 
-def _hindsight_optimum(cfg: RegretConfig, chunk: np.ndarray) -> np.ndarray:
+def _hindsight_optimum(cfg: RegretConfig, stream, scratch: np.ndarray) -> np.ndarray:
     """(seeds, dim) least-squares optimum over the whole data stream.
 
-    Accumulates the normal equations chunk by chunk, per seed as BLAS
-    matmuls on one seed's rows and their conjugates, each gathered into a
-    reused (chunk * obs, dim) buffer.  Its temporaries die on return, before
-    the replay starts.
+    Accumulates the normal equations chunk by chunk over the (A, b) pairs of
+    stream, per seed as BLAS matmuls on one seed's rows and their
+    conjugates, both gathered into the front of the flat complex scratch
+    (2 * chunk * obs * dim entries), which the replay reuses for its update
+    noise once this returns.
     """
     d, s_seeds = cfg.dim, cfg.n_seeds
     gram = np.zeros((s_seeds, d, d), dtype=np.complex128)
     rhs = np.zeros((s_seeds, d), dtype=np.complex128)
-    seed_rows = np.empty((chunk.shape[0] * cfg.obs, d), dtype=np.complex128)
-    seed_conj = np.empty_like(seed_rows)
-    for a, b in _regret_data(cfg, make_rng(cfg.seed, 6, 0), chunk):
+    size = min(_REGRET_CHUNK, cfg.steps) * cfg.obs
+    seed_rows, seed_conj = scratch[:2 * size * d].reshape(2, size, d)
+    for a, b in stream:
         rows = a.shape[0] * cfg.obs
         ak, akc = seed_rows[:rows], seed_conj[:rows]
         for k in range(s_seeds):
@@ -388,9 +389,13 @@ def regret_experiment(config: RegretConfig = RegretConfig()) -> RegretResult:
     All sigmas share data and update-noise draws (the noise is scaled per
     sigma), so comparisons are paired.  A first pass accumulates the normal
     equations for the hindsight optimum; a second pass replays the identical
-    stream and runs the projected noisy descent.  Both passes draw every data
-    chunk into one preallocated (min(_REGRET_CHUNK, steps), seeds, obs, dim)
-    buffer, and the update noise into one (chunk, seeds, dim) buffer, so peak
+    stream and runs the projected noisy descent.  Every data chunk is drawn
+    into one preallocated (min(_REGRET_CHUNK, steps), seeds, obs, dim)
+    buffer.  A stream of one chunk (steps <= _REGRET_CHUNK) is drawn once:
+    the replay reads the buffer the first pass filled.  A longer stream has
+    overwritten its first chunks by then, so the replay redraws it from its
+    seed.  The first pass's per-seed row buffers and the replay's
+    (chunk, seeds, dim) update-noise buffer share one scratch, so peak
     memory stays at one chunk whatever the number of steps.  The amplitude
     fit a(sigma) ~ c0 + c1 sigma^2 of sqrt(T) R(T)/T over the fit window
     yields the predicted ratio between the largest and the smallest positive
@@ -403,21 +408,32 @@ def regret_experiment(config: RegretConfig = RegretConfig()) -> RegretResult:
 
     rows = min(_REGRET_CHUNK, steps)
     chunk = np.empty((rows, s_seeds, m, d), dtype=np.complex128)
-    theta_star = _hindsight_optimum(cfg, chunk)
+    scratch = np.empty(rows * d * max(2 * m, s_seeds), dtype=np.complex128)
+    stream = _regret_data(cfg, make_rng(cfg.seed, 6, 0), chunk)
+    if steps <= _REGRET_CHUNK:
+        stream = list(stream)       # the whole stream: one (A, b) pair
+    theta_star = _hindsight_optimum(cfg, stream, scratch)
+    if steps > _REGRET_CHUNK:
+        stream = _regret_data(cfg, make_rng(cfg.seed, 6, 0), chunk)
     radius = cfg.radius_factor * np.linalg.norm(theta_star, axis=1)   # (seeds,)
 
     step_rng = make_rng(cfg.seed, 6, 1)
-    noise_buf = np.empty((rows, s_seeds, d), dtype=np.complex128)
+    noise_buf = scratch[:rows * s_seeds * d].reshape(rows, s_seeds, d)
     theta = np.zeros((n_sig, s_seeds, d), dtype=np.complex128)
     excess = np.empty((steps, n_sig, s_seeds))
     grad_bound = 0.0
     sig_scale = sigmas[:, None, None]
     t = 0
-    for a, b in _regret_data(cfg, make_rng(cfg.seed, 6, 0), chunk):
+    for a, b in stream:
         n = a.shape[0]
-        resid_star = (a @ theta_star[:, :, None])[..., 0] - b
-        loss_star = np.sum(np.abs(resid_star) ** 2, axis=2)           # (n, seeds)
         noise = crandn(step_rng, (n, s_seeds, d), var=1.0, out=noise_buf[:n])
+        # In place and freed before the steps, so the replay holds no more
+        # than the first pass did.
+        resid_star = (a @ theta_star[:, :, None])[..., 0]
+        resid_star -= b
+        loss_star = np.abs(resid_star)
+        del resid_star
+        loss_star = np.sum(np.square(loss_star, out=loss_star), axis=2)  # (n, seeds)
         for i in range(n):
             resid = (a[i] @ theta[..., None])[..., 0] - b[i][None]
             excess[t] = np.sum(np.abs(resid) ** 2, axis=2) - loss_star[i][None]

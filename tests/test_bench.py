@@ -7,7 +7,7 @@ import pytest
 from airsplit import bench
 from airsplit.bench import (
     ConfigError, CostComparisonRow, DataConfig,
-    ExperimentConfig, LayerSpec, PRESET_NAMES, apply_overrides,
+    ExperimentConfig, LayerSpec, PRESET_NAMES, TrainConfig, apply_overrides,
     as_images, build_system, config_from_dict, config_to_dict,
     cost_comparison, cost_report, generate_dataset, link_snr, load_dataset,
     preset, run_experiment, save_dataset, validate_config,
@@ -74,6 +74,17 @@ def test_configs_the_math_cannot_honour_fail_by_name(field, values):
         record[field] = list(values)
     with pytest.raises(ConfigError, match=field):
         config_from_dict(json.loads(json.dumps(record)))
+
+
+def test_config_to_dict_writes_non_integral_entries_as_they_are():
+    cfg = dataclasses.replace(ExperimentConfig(), r_values=(2.5, np.int64(4)),
+                              seeds=(0.5, 1))
+    record = json.loads(json.dumps(config_to_dict(cfg)))
+    assert record["r_values"] == [2.5, 4] and record["seeds"] == [0.5, 1]
+    for field in ("r_values", "seeds"):
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict({**record, "r_values": [4], "seeds": [0],
+                              field: record[field]})
 
 
 def test_config_dict_round_trip_including_inf():
@@ -293,6 +304,81 @@ def test_run_experiment_marks_comm_loss_divergence(tmp_path):
         ["train", str(step)] for step in range(1, 36)]
     assert curve[-1].split(",")[-1] == "nan"
     assert all(np.isfinite(float(line.split(",")[-1])) for line in curve[:-1])
+
+
+
+def _fuzz_config(rng) -> ExperimentConfig:
+    """A random small valid config: every design, baseline and optimizer."""
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    n_tx, n_rx = (int(v) for v in rng.integers(1, 7, size=2))
+    return ExperimentConfig(
+        name="fuzz", n_nodes=int(rng.integers(2, 4)), n_tx=n_tx, n_rx=n_rx,
+        n_paths=int(rng.integers(1, 7)), side=pick(("transmitter", "receiver")),
+        form=pick(("auto", "combined", "separated")),
+        r_values=(int(rng.integers(1, min(n_tx, n_rx) + 1)),),
+        snr_values=(pick((INF, 30.0, 10.0, 0.0, -10.0)),),
+        seeds=(int(rng.integers(0, 1000)),), channel_seed=int(rng.integers(0, 1000)),
+        rho=pick((0.0, 1e-3, 0.5, 1.0)),
+        baseline=pick(("proposed", "ideal", "centralized")),
+        comm_weight=pick((0.0, 1e-3, 1.0)), bias=bool(rng.integers(2)),
+        forward_rescale=bool(rng.integers(2)),
+        backward_rescale=pick(("auto", "on", "off")),
+        data=DataConfig(n_features=int(rng.integers(1, 5)),
+                        n_classes=int(rng.integers(2, 4)),
+                        train_per_class=int(rng.integers(1, 6)),
+                        test_per_class=int(rng.integers(1, 4)),
+                        seed=int(rng.integers(0, 1000))),
+        train=TrainConfig(batch_size=int(rng.integers(1, 9)), steps=6,
+                          lr=float(10.0 ** rng.uniform(-3, 1)),
+                          optimizer=pick(("adam", "sgd")),
+                          eval_every=int(rng.integers(1, 7)),
+                          log_every=int(rng.integers(1, 7))))
+
+
+# (field, value) pairs the math cannot honour, each on an otherwise valid
+# config: the edge values of test_configs_the_math_cannot_honour_fail_by_name,
+# then out-of-range sizes, rates and weights.
+_FUZZ_INVALID = [
+    ("snr_values", (NAN,)), ("snr_values", (-INF,)), ("snr_values", (10.0, 10)),
+    ("r_values", (2.5,)), ("r_values", (2.7,)), ("r_values", (1, 1)),
+    ("seeds", (0, 0)), ("seeds", (0.5,)), ("seeds", (-1,)),
+    ("r_values", (7,)), ("n_tx", 0), ("rho", 1.5), ("rho", NAN),
+    ("comm_weight", -1.0), ("data.n_classes", 1), ("train.lr", 0.0),
+    ("train.lr", NAN), ("train.batch_size", 0), ("train.steps", 0),
+]
+
+
+def _with_field(cfg: ExperimentConfig, path: str, value) -> ExperimentConfig:
+    section, _, name = path.rpartition(".")
+    if not section:
+        return dataclasses.replace(cfg, **{name: value})
+    inner = dataclasses.replace(getattr(cfg, section), **{name: value})
+    return dataclasses.replace(cfg, **{section: inner})
+
+
+def test_seeded_config_fuzz_fails_by_name_or_runs_ok_or_diverged(tmp_path):
+    # A config either raises a ConfigError that names a field, or every run
+    # ends ok or diverged@<step>, never failed:<Class>.
+    rng = np.random.default_rng(20261018)
+    statuses = set()
+    for i in range(60):
+        cfg = _fuzz_config(rng)
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+        with np.errstate(all="ignore"):
+            rows = run_experiment(cfg, tmp_path / f"ok{i}")
+        for row in rows:
+            assert row["status"] == "ok" or row["status"].startswith("diverged@"), (
+                row["status"], cfg)
+            statuses.add(row["status"].split("@")[0])
+    assert statuses == {"ok", "diverged"}
+    for i, (path, value) in enumerate(_FUZZ_INVALID):
+        cfg = _with_field(_fuzz_config(rng), path, value)
+        with pytest.raises(ConfigError, match=rf"^{path}: "):
+            run_experiment(cfg, tmp_path / f"bad{i}")
+        with pytest.raises(ConfigError, match=rf"^{path}: "):
+            config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
 
 
 # -- cost accounting ----------------------------------------------------------

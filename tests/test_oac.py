@@ -314,13 +314,14 @@ def test_transcript_records_the_pipeline():
     assert res.received.shape == res.stream_grads.shape == (k, 4, 2)
 
 
-@pytest.mark.parametrize("design", [OacDesign("transmitter", "combined"),
-                                    OacDesign("receiver", "separated")], ids=str)
+@pytest.mark.parametrize("design", ALL_DESIGNS, ids=str)
 def test_forward_record_holds_little_more_than_the_received_stack(design):
     # Backward reads the scales, the (K, n, B) received stack and the two
-    # ends' local inputs x, u and z, each (., B) with r rows per use: an
-    # eighth of the stack here.  Keeping the sent stack too measured 2.25
-    # (transmitter/combined) and 2.38 (receiver/separated) received stacks.
+    # ends' local inputs x and u, plus z where a receiver W0 takes its
+    # gradient from it; each is (., B) with r rows per use, an eighth of the
+    # stack here.  Keeping the sent stack too measured 2.25
+    # (transmitter/combined) and 2.38 (receiver/separated) received stacks;
+    # keeping receiver/combined's (K, n, B) combiner outputs measured 2.25.
     n, batch, r = 64, 64, 8
     rng = make_rng(79)
     channel = sample_channel(n, n, 8, rng)

@@ -425,12 +425,74 @@ def test_regret_matches_recorded_values():
                                rtol=rtol)
 
 
+# Recorded before the replay reused the one-chunk stream (500 steps: one
+# chunk); the reuse must not move a bit, so these hold to roundoff.
+_ONE_CHUNK_T = [100, 215, 307, 457, 500]
+_ONE_CHUNK_AVG_REGRET = [     # (sigma, seed, T) at the steps above
+    [
+        [14.204339522954264, 6.881955399805104, 4.904292274931911, 3.370715217009777, 3.0980185602253596],
+        [12.853070160841467, 6.223022853136417, 4.465549515071576, 3.106783543939939, 2.8642518766051994],
+        [23.874694463900326, 11.311147770723224, 8.020342551157894, 5.488870292220907, 5.0417929467563045],
+    ],
+    [
+        [14.451291231954045, 6.9930277753205345, 4.985117426152862, 3.422659035904544, 3.1455611514435957],
+        [10.873847168593047, 5.305998367503091, 3.823546973755479, 2.6751572975721407, 2.4704380804380404],
+        [23.66452123642429, 11.21787088672107, 7.955743416648141, 5.446328865688182, 5.003729629955916],
+    ],
+    [
+        [15.860217479482142, 7.69124912423026, 5.503380153960621, 3.7833735963916966, 3.4789573399036584],
+        [9.234127655560943, 4.5983860226306374, 3.349033182258114, 2.3723714237962903, 2.2004761626997555],
+        [22.194262360043243, 10.604745007682924, 7.550598355662222, 5.195550762660615, 4.780976897458395],
+    ],
+]
+
+
+def test_one_chunk_regret_matches_recorded_values():
+    res = regret_experiment(RegretConfig(steps=500, dim=8, n_seeds=3))
+    rtol = 1e-10
+    np.testing.assert_allclose(
+        res.final, [3.668021127862288, 3.539909620612517, 3.48680346668727], rtol=rtol)
+    np.testing.assert_allclose(
+        res.slopes, [-0.9530119567458442, -0.9509333082905126, -0.9383561590774337],
+        rtol=rtol)
+    np.testing.assert_allclose(
+        [res.measured_ratio, res.predicted_ratio, res.c0, res.c1, res.diameter,
+         res.grad_bound],
+        [0.9849978785853696, 0.9547803718437604, 117.65056556842919,
+         -35.36083193773627, 72.64888917709666, 41.884656656605166], rtol=rtol)
+    cols = np.searchsorted(res.ts, _ONE_CHUNK_T)
+    np.testing.assert_array_equal(res.ts[cols], _ONE_CHUNK_T)
+    np.testing.assert_allclose(res.avg_regret[:, :, cols], _ONE_CHUNK_AVG_REGRET,
+                               rtol=rtol)
+
+
+@pytest.mark.parametrize("steps, draws", [(500, 1), (512, 1), (513, 4), (1100, 6)])
+def test_regret_draws_a_one_chunk_stream_once(monkeypatch, steps, draws):
+    # A stream of one chunk is drawn once and replayed from its buffer; a
+    # longer one (here 2 or 3 chunks) is drawn by both passes.
+    cfg = RegretConfig(steps=steps, dim=4, obs=2, n_seeds=2)
+    data_shape = (cfg.n_seeds, cfg.obs, cfg.dim)
+    counted = []
+
+    def counting_crandn(rng, shape, *args, **kwargs):
+        if tuple(shape[1:]) == data_shape:
+            counted.append(shape[0])
+        return crandn(rng, shape, *args, **kwargs)
+
+    expected = regret_experiment(cfg)
+    monkeypatch.setattr(runtime, "crandn", counting_crandn)
+    got = regret_experiment(cfg)
+    assert len(counted) == draws
+    assert sum(counted) == steps * (1 if draws == 1 else 2)
+    np.testing.assert_array_equal(got.avg_regret, expected.avg_regret)
+
+
 def test_regret_peak_memory_stays_near_one_chunk():
-    # Both passes draw every (512, seeds, obs, dim) data chunk into one
-    # buffer.  Holding a second chunk (pass 1's last one, or the generator's
-    # previous one while the next is drawn) raised the peak to ~3 chunks;
-    # one chunk plus the per-seed row buffers and the noise buffer measures
-    # ~1.7.
+    # Every (512, seeds, obs, dim) data chunk is drawn into one buffer; this
+    # 3-chunk stream is drawn by both passes.  Holding a second chunk (pass
+    # 1's last one, or the generator's previous one while the next is drawn)
+    # raised the peak to ~3 chunks; one chunk plus the scratch that pass 1's
+    # per-seed row buffers and the replay's noise buffer share measures ~1.7.
     cfg = RegretConfig(steps=1100, dim=16, n_seeds=4)
     chunk_bytes = 512 * cfg.n_seeds * cfg.obs * cfg.dim * 16
     regret_experiment(RegretConfig(steps=20, dim=4, obs=2, n_seeds=2, fit_floor=5))

@@ -9,10 +9,14 @@ Runs ``run_experiment`` for 16 short configs (40 steps, seed 0, eval every
 moving_3node and sparse_3node (comm loss on) under all four side x form
 designs, massive_3node, complex_2node proposed and centralized, moving_3node
 with SGD, the ideal baseline with Adam and with SGD, forward_rescale off,
-and sparse_3node combined with r = 3 (padded chunks).  A change that must
-not move a byte is checked by running this in the parent checkout and in
-the changed one, then ``diff -r`` over the two directories.  Exits 1 unless
-every run ends ``ok``.
+and sparse_3node combined with r = 3 (padded chunks).  It also runs
+``regret_experiment`` for a one-chunk stream (the default config at 500
+steps) and a three-chunk one (1100 steps, dim 8, 3 seeds), and writes each
+result's arrays and scalar fields as ``.npy`` files into
+``OUT_DIR/regret_<steps>``.  A change that must not move a byte is checked
+by running this in the parent checkout and in the changed one, then
+``diff -r`` over the two directories.  Exits 1 unless every run ends ``ok``
+and no regret run diverges.
 """
 from __future__ import annotations
 
@@ -28,7 +32,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import dataclasses  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 from airsplit.bench import preset, run_experiment  # noqa: E402
+from airsplit.runtime import RegretConfig, regret_experiment  # noqa: E402
 
 
 def _short(name: str, **fields):
@@ -57,6 +64,27 @@ def identity_configs() -> dict:
     return out
 
 
+def regret_configs() -> dict:
+    """The one-chunk and the three-chunk regret stream by output directory name."""
+    return {"regret_500": RegretConfig(steps=500),
+            "regret_1100": RegretConfig(steps=1100, dim=8, n_seeds=3)}
+
+
+_REGRET_SCALARS = ("measured_ratio", "predicted_ratio", "c0", "c1", "diameter",
+                   "grad_bound", "diverged")
+
+
+def write_regret(cfg: RegretConfig, out: Path):
+    """Run one regret config and save its outputs under out; returns the result."""
+    res = regret_experiment(cfg)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in ("ts", "avg_regret", "slopes", "final"):
+        np.save(out / f"{name}.npy", getattr(res, name))
+    np.save(out / "scalars.npy",
+            np.array([float(getattr(res, name)) for name in _REGRET_SCALARS]))
+    return res
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -69,6 +97,11 @@ def main(argv=None) -> int:
             print(f"{name}: r={row['r']} seed={row['seed']} {row['status']}")
             if row["status"] != "ok":
                 bad.append(name)
+    for name, cfg in regret_configs().items():
+        res = write_regret(cfg, out / name)
+        print(f"{name}: slopes={res.slopes.tolist()} diverged={res.diverged}")
+        if res.diverged:
+            bad.append(name)
     if bad:
         print(f"not ok: {', '.join(bad)}", file=sys.stderr)
         return 1
