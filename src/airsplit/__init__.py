@@ -11,12 +11,11 @@ from .linalg import (DecompositionError, crandn, make_rng, matrix_rank, pinv,
 from .channel import (NOISELESS, ChannelState, NoiseModel, PathSet,
                       build_matrix, channel_from_dict, channel_snr,
                       channel_to_dict, evolve_channel, load_channel,
-                      sample_channel, save_channel, steering_vector,
-                      transmit_backward, transmit_forward, wrap_angle)
+                      sample_channel, save_channel, transmit_backward,
+                      transmit_forward, wrap_angle)
 from .nn import (Adam, AvgPool2d, ComplexBatchNorm, ComplexNet, Conv2d, CRelu,
-                 Dense, Flatten, Sgd, finite_difference_gradient,
-                 load_checkpoint, modulus_softmax_loss, numerical_gradient,
-                 save_checkpoint)
+                 Dense, Flatten, Sgd, load_checkpoint,
+                 modulus_softmax_loss, numerical_gradient, save_checkpoint)
 from .oac import (ALL_DESIGNS, ChannelRankError, FeasibilityError,
                   FeasibilityWarning, OacBackwardResult, OacConvLayer,
                   OacDesign, OacLayer, SnrReport, Transcript, decompose_weight,
@@ -28,9 +27,9 @@ from .runtime import (BatchMetrics, CovarianceTracker, RegretConfig,
                       comm_loss_gradients, regret_experiment)
 from .bench import (ConfigError, CostComparisonRow, CostRow,
                     DataConfig, Dataset, ExperimentConfig, LayerSpec,
-                    TrainConfig, as_images, build_system, config_from_dict,
+                    TrainConfig, build_system, config_from_dict,
                     config_to_dict, cost_comparison, cost_report,
-                    generate_dataset, link_snr, load_dataset, preset,
+                    generate_dataset, load_dataset, preset,
                     run_experiment, save_dataset)
 from .verify import verify_all
 

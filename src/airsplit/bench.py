@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (NOISELESS, ChannelState, NoiseModel, channel_snr,
-                      sample_channel, save_channel)
+from .channel import NOISELESS, NoiseModel, sample_channel, save_channel
 from .linalg import crandn, make_rng
 from .nn import Adam, ComplexBatchNorm, ComplexNet, CRelu, Dense, Sgd
 from .oac import OacDesign, OacLayer, ideal_matrices
@@ -39,9 +38,7 @@ __all__ = [
     "generate_dataset",
     "save_dataset",
     "load_dataset",
-    "as_images",
     "build_system",
-    "link_snr",
     "run_experiment",
     "LayerSpec",
     "CostRow",
@@ -312,14 +309,6 @@ def load_dataset(path) -> Dataset:
                        centers=data["centers"])
 
 
-def as_images(x: np.ndarray, channels: int, height: int, width: int) -> np.ndarray:
-    """Reshape (features, batch) columns into (batch, C, H, W) maps."""
-    f, b = x.shape
-    if channels * height * width != f:
-        raise ValueError("channels * height * width must equal the feature count")
-    return x.T.reshape(b, channels, height, width)
-
-
 # -- systems ------------------------------------------------------------------
 
 def _node_stacks(cfg: ExperimentConfig, rng) -> list:
@@ -394,12 +383,6 @@ def build_system(cfg: ExperimentConfig, r: int, snr_db: float, seed: int,
             comm_weight=comm_weight, rho=cfg.rho, evolve_rng=make_rng(seed, 5, i)))
     nodes = [ComplexNet(stack) for stack in stacks]
     return SplitSystem(nodes, links), opt
-
-
-def link_snr(channel: ChannelState, noise: NoiseModel) -> float:
-    """The realized link SNR in dB under a noise model."""
-    power = noise.total_power(channel)
-    return channel_snr(channel, power)
 
 
 # -- runs ---------------------------------------------------------------------

@@ -27,7 +27,6 @@ __all__ = [
     "NoiseModel",
     "NOISELESS",
     "wrap_angle",
-    "steering_vector",
     "build_matrix",
     "sample_channel",
     "evolve_channel",
@@ -79,11 +78,6 @@ class PathSet:
     @property
     def n_paths(self) -> int:
         return self.gains.size
-
-
-def steering_vector(angle: float, n: int) -> np.ndarray:
-    """Uniform linear array response (1, e^{j*angle}, ..., e^{j(n-1)angle})."""
-    return np.exp(1j * angle * np.arange(n))
 
 
 def build_matrix(paths: PathSet, n_tx: int, n_rx: int) -> np.ndarray:

@@ -25,7 +25,6 @@ __all__ = [
     "Sgd",
     "Adam",
     "numerical_gradient",
-    "finite_difference_gradient",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -303,14 +302,19 @@ class ComplexNet:
 def modulus_softmax_loss(logits: np.ndarray, labels: np.ndarray):
     """Cross-entropy on softmax of squared moduli of complex logits.
 
-    logits: (classes, batch) complex; labels: (batch,) ints.
+    logits: (classes, batch) complex; labels: (batch,) ints in [0, classes).
     Returns (mean loss, gradient wrt logits, accuracy).
     """
+    classes, b = logits.shape
+    labels = np.asarray(labels)
+    if (labels.shape != (b,) or labels.dtype.kind not in "iu"
+            or (b and (labels.min() < 0 or labels.max() >= classes))):
+        raise ValueError(f"labels must be {b} integers in [0, {classes}), got "
+                         f"shape {labels.shape} of {labels.dtype}")
     s = np.abs(logits) ** 2
     s = s - s.max(axis=0, keepdims=True)
     e = np.exp(s)
     p = e / e.sum(axis=0, keepdims=True)
-    b = labels.shape[0]
     picked = p[labels, np.arange(b)]
     loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
     d = p.copy()
@@ -456,17 +460,6 @@ def numerical_gradient(loss_fn, params: dict, eps: float = 1e-6) -> dict:
             gflat[i] = 0.5 * (d_re + 1j * d_im)
         grads[name] = g
     return grads
-
-
-def finite_difference_gradient(net: ComplexNet, x: np.ndarray, loss_fn,
-                               eps: float = 1e-6) -> dict:
-    """Numeric gradient of loss_fn(net(x)) for every network parameter."""
-
-    def total():
-        y, _ = net.forward(x, train=True)
-        return loss_fn(y)
-
-    return numerical_gradient(total, net.parameters(), eps=eps)
 
 
 # -- checkpoints ------------------------------------------------------------

@@ -490,10 +490,11 @@ class SnrReport:
     forward is (K, n_out): each output row of each use's combined
     contribution.  backward is (K, m): each precoder-input stream of each
     use, m = n_in for per-use transmitter precoders and r otherwise.  a is
-    the forward transmit scale per use.  a_tilde is the backward transmit
-    scale of the unscaled upstream gradient; with forward_rescale on,
-    OacLayer.backward sends a_k gamma_k, so the scale it reports is a_k
-    times this one.
+    the forward transmit scale per use, and a_tilde the backward one that
+    OacLayer.backward sends.  With forward_rescale on, the gradient it sends
+    is already scaled by a_k, so a_tilde_k is a_k times the scale of the
+    unscaled upstream gradient, and the backward figures of use k sit
+    10 log10 a_k dB below that gradient's.
     """
 
     forward: np.ndarray
@@ -513,26 +514,22 @@ def _snr_db(signal: np.ndarray, antennas: int, p_n: float, scale: np.ndarray) ->
 
 def snr_report(layer: OacLayer, channel: ChannelState, x: np.ndarray,
                g_y: np.ndarray, p_n: float) -> SnrReport:
-    """Empirical stream SNRs for one batch, noiselessly recomputed.
+    """Empirical stream SNRs for one batch: the layer's own passes, noiseless.
 
-    Forward: mean squared magnitude of each row of C_k^H H t_k, with t_k the
-    unit-power block of use k, times n_rx / p_n.  Backward: the unscaled
-    upstream gradient g_y is sent back at unit power per use; the same
-    figure for the streams P_k^H conj(H^T q_k) that reach the precoders,
-    times n_tx / p_n and divided by the backward transmit scale a_tilde_k of
-    that unscaled gradient (not of the a_k-scaled one a training backward
-    sends when forward_rescale is on).  p_n = 0 reports +inf everywhere.
+    Runs layer.forward and layer.backward with NOISELESS.  Forward: mean
+    squared magnitude of each row of C_k^H H t_k, with t_k the unit-power
+    block of use k, times n_rx / p_n.  Backward: the same figure for the
+    streams P_k^H conj(H^T q_k) that reach the precoders, with q_k the
+    unit-power block backward sent, times n_tx / p_n and divided by the
+    scale a_tilde_k it sent.  p_n = 0 reports +inf everywhere.
     """
-    g_y = np.asarray(g_y, dtype=np.complex128)
     _, t = layer.forward(x, channel, NOISELESS)
     seen = _hermitian(layer._combiners()) @ t.received
-    back, _ = layer._rx_adjoint(g_y, np.ones(layer.k_total))
-    sent, a_tilde = power_normalize(back.conj())
-    received = transmit_backward(channel, sent, NOISELESS)
-    streams, _, _ = layer._tx_adjoint(t, received.conj())
+    res = layer.backward(t, g_y, channel, NOISELESS)
+    streams = _hermitian(layer.params["P"]) @ res.received.conj()
     return SnrReport(forward=_snr_db(seen, layer.n_rx, p_n, np.ones(layer.k_total)),
-                     backward=_snr_db(streams, layer.n_tx, p_n, a_tilde),
-                     a=t.a, a_tilde=a_tilde)
+                     backward=_snr_db(streams, layer.n_tx, p_n, res.a_tilde),
+                     a=t.a, a_tilde=res.a_tilde)
 
 
 # -- convolutional front end --------------------------------------------------

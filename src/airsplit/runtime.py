@@ -13,13 +13,14 @@ activations a node sends) out of that subspace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelState, NoiseModel, evolve_channel
 from .linalg import crandn, make_rng, svd
-from .nn import ComplexNet, modulus_softmax_loss
+from .nn import modulus_softmax_loss
 from .oac import OacConvLayer, OacLayer
 
 __all__ = [
@@ -117,8 +118,8 @@ class SplitLink:
     def __init__(self, layer, channel: ChannelState, noise: NoiseModel,
                  noise_rng_f: np.random.Generator | None = None,
                  noise_rng_b: np.random.Generator | None = None,
-                 comm_weight: float = 0.0, alpha: float = 0.99,
-                 rho: float = 0.0, evolve_rng: np.random.Generator | None = None):
+                 comm_weight: float = 0.0, rho: float = 0.0,
+                 evolve_rng: np.random.Generator | None = None):
         if not 0.0 <= rho <= 1.0:
             raise ValueError(f"rho = {rho} must lie in [0, 1]")
         if rho > 0.0 and evolve_rng is None:
@@ -130,8 +131,8 @@ class SplitLink:
         self.rng_f = noise_rng_f
         self.rng_b = noise_rng_b
         self.comm_weight = comm_weight
-        self.fwd_cov = CovarianceTracker(self.inner.n_rx, alpha)
-        self.bwd_cov = CovarianceTracker(self.inner.n_tx, alpha)
+        self.fwd_cov = CovarianceTracker(self.inner.n_rx)
+        self.bwd_cov = CovarianceTracker(self.inner.n_tx)
         self.rho = rho
         self.evolve_rng = evolve_rng
         self.comm_loss_value = 0.0
@@ -298,6 +299,8 @@ class RegretConfig:
     learning rate eta0 / sqrt(t), projected onto a ball that contains the
     hindsight optimum with radius to spare.  Slopes are fitted on log-spaced
     samples of R(T)/T with T in [fit_floor, steps]; steps must exceed max(fit_floor, 2).
+    A field the study cannot run with raises a ValueError that starts with
+    its name.
     """
 
     dim: int = 64
@@ -312,8 +315,26 @@ class RegretConfig:
     fit_floor: int = 100
 
     def __post_init__(self):
+        for name in ("dim", "obs", "n_seeds", "steps", "fit_floor"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} = {value!r} must be an integer >= 1")
         if self.steps <= max(self.fit_floor, 2):
             raise ValueError(f"steps = {self.steps} must exceed max(fit_floor, 2)")
+        sigmas = self.sigmas if isinstance(self.sigmas, (tuple, list, np.ndarray)) else ()
+        if len(sigmas) == 0 or not all(_finite(s) and s >= 0.0 for s in sigmas):
+            raise ValueError(f"sigmas = {self.sigmas!r} must be a non-empty sequence "
+                             "of finite values >= 0")
+        for name in ("eta0", "radius_factor"):
+            value = getattr(self, name)
+            if not (_finite(value) and value > 0.0):
+                raise ValueError(f"{name} = {value!r} must be finite and > 0")
+        if not (_finite(self.obs_noise) and self.obs_noise >= 0.0):
+            raise ValueError(f"obs_noise = {self.obs_noise!r} must be finite and >= 0")
+
+
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass

@@ -8,11 +8,11 @@ from airsplit import bench
 from airsplit.bench import (
     ConfigError, CostComparisonRow, DataConfig,
     ExperimentConfig, LayerSpec, PRESET_NAMES, TrainConfig, apply_overrides,
-    as_images, build_system, config_from_dict, config_to_dict,
-    cost_comparison, cost_report, generate_dataset, link_snr, load_dataset,
+    build_system, config_from_dict, config_to_dict,
+    cost_comparison, cost_report, generate_dataset, load_dataset,
     preset, run_experiment, save_dataset, validate_config,
 )
-from airsplit.channel import NoiseModel, sample_channel
+from airsplit.channel import NoiseModel, channel_snr, sample_channel
 from airsplit.linalg import make_rng
 from airsplit.oac import ChannelRankError, ideal_matrices
 from airsplit.runtime import SplitSystem
@@ -156,15 +156,6 @@ def test_dataset_save_load_round_trip(tmp_path):
         np.testing.assert_array_equal(getattr(ds, field), getattr(back, field))
 
 
-def test_as_images_reshapes_columns():
-    x = np.arange(24, dtype=np.complex128).reshape(12, 2)
-    imgs = as_images(x, 3, 2, 2)
-    assert imgs.shape == (2, 3, 2, 2)
-    np.testing.assert_array_equal(imgs[1].ravel(), x[:, 1])
-    with pytest.raises(ValueError):
-        as_images(x, 3, 2, 3)
-
-
 # -- system assembly ----------------------------------------------------------
 
 def test_build_system_split_and_centralized_widths_match():
@@ -217,7 +208,8 @@ def test_comm_penalty_enabled_by_weight():
 
 def test_link_snr_matches_request():
     channel = sample_channel(6, 5, 4, make_rng(53, 2, 0))
-    assert abs(link_snr(channel, NoiseModel(snr_db=12.0)) - 12.0) < 1e-9
+    power = NoiseModel(snr_db=12.0).total_power(channel)
+    assert abs(channel_snr(channel, power) - 12.0) < 1e-9
 
 
 # -- experiment driver --------------------------------------------------------

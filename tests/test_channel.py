@@ -8,7 +8,7 @@ import _oracles as oracles
 from airsplit.channel import (
     NOISELESS, ChannelState, NoiseModel, PathSet, build_matrix, channel_from_dict,
     channel_snr, channel_to_dict, evolve_channel, load_channel, sample_channel,
-    save_channel, steering_vector, transmit_backward, transmit_forward, wrap_angle,
+    save_channel, transmit_backward, transmit_forward, wrap_angle,
 )
 from airsplit.linalg import crandn, make_rng, matrix_rank
 
@@ -18,12 +18,6 @@ def test_wrap_angle_lands_in_half_open_interval():
     w = wrap_angle(x)
     assert np.all(w > -np.pi) and np.all(w <= np.pi)
     np.testing.assert_allclose(np.exp(1j * w), np.exp(1j * x), atol=1e-12)
-
-
-def test_steering_vector_is_geometric_in_the_angle():
-    v = steering_vector(0.3, 5)
-    np.testing.assert_allclose(v, np.exp(1j * 0.3) ** np.arange(5), atol=1e-12)
-    assert v[0] == 1.0
 
 
 def test_build_matrix_matches_entrywise_sum():

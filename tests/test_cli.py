@@ -95,6 +95,13 @@ def test_regret_rejects_a_one_sample_slope_fit(capsys):
     assert "steps" in err["message"] and "fit_floor" in err["message"]
 
 
+def test_regret_rejects_a_field_by_name(capsys):
+    rc = main(["regret", "--override", "dim=0"])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 2 and err["error"] == "config"
+    assert err["message"].startswith("regret: dim = 0")
+
+
 def test_verify_passes(capsys):
     rc = main(["verify"])
     out = capsys.readouterr().out

@@ -190,6 +190,20 @@ def test_modulus_softmax_loss_values_and_gradient():
     np.testing.assert_allclose(g, oracles.fd_gradient(f, logits), atol=1e-8)
 
 
+@pytest.mark.parametrize("labels", [
+    np.array([2]),                  # one label for a batch of 4
+    np.array([0, 1, 2, 3, 4]),      # one label too many
+    np.array([[0, 1, 2, 3]]),       # (1, batch)
+    np.array([0, 1, -1, 3]),        # -1 would index the last class
+    np.array([0, 1, 6, 3]),         # past the last class
+    np.array([0.0, 1.0, 2.0, 3.0]),
+], ids=["length1", "length5", "2d", "negative", "past_classes", "float"])
+def test_modulus_softmax_loss_rejects_labels_it_cannot_score(labels):
+    logits = crandn(make_rng(49), (6, 4))
+    with pytest.raises(ValueError, match=r"^labels must be 4 integers in \[0, 6\)"):
+        modulus_softmax_loss(logits, labels)
+
+
 def test_sgd_step_is_plain_descent():
     params = {"w": np.array([1.0 + 1.0j, 2.0])}
     Sgd(0.1).step(params, {"w": np.array([1.0j, 1.0])})

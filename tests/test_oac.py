@@ -417,16 +417,21 @@ def test_snr_report_shapes_and_noiseless_limit(design):
     assert all(np.all(np.isfinite(f)) for f in rep.forward)
     assert rep.a.shape == (layer.k_total,)
     rep0 = snr_report(layer, channel, x, g_y, p_n=0.0)
-    assert all(np.all(np.isinf(f)) for f in rep0.forward)
-    # the report's a_tilde is the scale of the unscaled upstream gradient;
-    # with forward_rescale on, backward sends a_k gamma_k instead
-    _, transcript = layer.forward(x, channel, NOISELESS)
-    res = layer.backward(transcript, g_y, channel, NOISELESS)
-    np.testing.assert_allclose(res.a_tilde / rep.a_tilde, transcript.a, rtol=1e-12)
-    layer.forward_rescale = False
-    _, transcript = layer.forward(x, channel, NOISELESS)
-    res = layer.backward(transcript, g_y, channel, NOISELESS)
-    np.testing.assert_array_equal(res.a_tilde, snr_report(layer, channel, x, g_y, 0.1).a_tilde)
+    assert np.all(rep0.forward == np.inf) and np.all(rep0.backward == np.inf)
+    if design == OacDesign("receiver", "separated"):
+        # the hand-derived report these were recorded from divided by the
+        # unscaled gradient's scale, so its figures sat 10 log10 a_k dB higher
+        np.testing.assert_allclose(
+            rep.backward, [[5.863742048963161, 21.356054412725314],
+                           [12.861805627960926, 25.294356212097632]], rtol=1e-12)
+    # the report's a_tilde is the scale backward sends, with or without the
+    # forward rescale folded into the gradient
+    for rescale in (True, False):
+        layer.forward_rescale = rescale
+        _, transcript = layer.forward(x, channel, NOISELESS)
+        res = layer.backward(transcript, g_y, channel, NOISELESS)
+        np.testing.assert_array_equal(snr_report(layer, channel, x, g_y, 0.1).a_tilde,
+                                      res.a_tilde)
 
 
 def test_conv_layer_runs_the_mixer_over_every_pixel():

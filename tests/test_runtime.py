@@ -385,6 +385,20 @@ def test_regret_rejects_a_one_sample_slope_fit():
     assert res.ts.tolist() == [2, 3] and np.all(np.isfinite(res.slopes))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dim", 0), ("obs", 0), ("n_seeds", 0), ("dim", 2.0), ("steps", 150.5),
+    ("fit_floor", 0), ("fit_floor", -3), ("fit_floor", 10.5),
+    ("sigmas", ()), ("sigmas", (0.1, float("nan"))), ("sigmas", (-0.1,)),
+    ("sigmas", (float("inf"),)), ("sigmas", 0.1),
+    ("eta0", 0.0), ("eta0", float("nan")), ("radius_factor", 0.0),
+    ("radius_factor", float("inf")), ("obs_noise", -0.5), ("obs_noise", float("nan")),
+], ids=str)
+def test_regret_config_fails_by_field_name(field, value):
+    kwargs = {"steps": 150, "dim": 4, "n_seeds": 2, "fit_floor": 10, field: value}
+    with pytest.raises(ValueError, match=f"^{field} = "):
+        RegretConfig(**kwargs)
+
+
 # Reference values recorded from the einsum formulation of regret_experiment;
 # the matmul formulation sums in another order, so it must match to roundoff.
 # 1100 steps cross two 512-step chunk boundaries of the replayed data stream.
