@@ -454,10 +454,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list:
     continues; a run whose train, comm or eval loss turns non-finite stops
     there and is recorded as diverged@<step> with its partial curve.  Only ok
     runs enter the aggregate.  Returns the summary rows.
+
+    out_dir may hold an earlier run: its runs/*.csv and channels/link*.json
+    are removed before anything is written, and so is channels/ once empty,
+    so every such file in out_dir afterwards is one this run wrote.
     """
     validate_config(cfg)
     out = Path(out_dir)
     runs_dir = out / "runs"
+    for stale in [*runs_dir.glob("*.csv"), *(out / "channels").glob("link*.json")]:
+        stale.unlink()
+    if (out / "channels").is_dir() and not any((out / "channels").iterdir()):
+        (out / "channels").rmdir()
     runs_dir.mkdir(parents=True, exist_ok=True)
     with open(out / "config.json", "w") as fh:
         json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)

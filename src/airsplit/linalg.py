@@ -47,6 +47,41 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
 
 # Floats of scratch crandn holds at a time, whatever the size of its result.
 _CRANDN_SCRATCH = 1 << 16
+# add_crandn runs while a link pass's stacks are alive, so its scratch is
+# smaller: 64 KiB, which draws a (4, 16, 64) stack's noise in one piece.
+_ADD_CRANDN_SCRATCH = 1 << 13
+
+
+def _draw_normals(rng: np.random.Generator, parts, scale: float, buf: np.ndarray,
+                  add: bool = False) -> None:
+    """Write scale times the next standard normals of rng into the 1-D float
+    arrays of parts, in order, or add them to what the parts hold.
+
+    The normals are drawn through the float scratch buf in pieces of at most
+    buf.size, which may straddle parts; a normal stream drawn in pieces equals
+    the stream drawn at once, so the bytes do not depend on buf.size.  Every
+    array this writes is passed in: it allocates no array data of its own.
+    """
+    parts = [p for p in parts if p.size]
+    total = sum(p.size for p in parts)
+    i = j = 0                        # the part the stream is in, and the offset in it
+    for lo in range(0, total, max(buf.size, 1)):
+        piece = buf[:min(buf.size, total - lo)]
+        rng.standard_normal(out=piece)
+        if add:
+            np.multiply(piece, scale, out=piece)
+        at = 0
+        while at < piece.size:
+            dst = parts[i][j:j + piece.size - at]
+            src = piece[at:at + dst.size]
+            if add:
+                np.add(dst, src, out=dst)
+            else:
+                np.multiply(src, scale, out=dst)
+            at += dst.size
+            j += dst.size
+            if j == parts[i].size:
+                i, j = i + 1, 0
 
 
 def crandn(rng: np.random.Generator, shape, var: float = 1.0,
@@ -55,7 +90,7 @@ def crandn(rng: np.random.Generator, shape, var: float = 1.0,
 
     Real and imaginary parts are independent N(0, var/2).  The real block is
     drawn before the imaginary block so the draw order is part of the
-    contract.  Each block is drawn in pieces through a float scratch of at
+    contract.  Both blocks are drawn in pieces through a float scratch of at
     most _CRANDN_SCRATCH entries straight into the complex result; a normal
     stream drawn in pieces equals the stream drawn at once, so for var > 0
     the bytes equal scale * (re + 1j * im) from the same two draws (at
@@ -65,7 +100,6 @@ def crandn(rng: np.random.Generator, shape, var: float = 1.0,
     that is filled in place and returned, so a caller can reuse one buffer
     across draws.  A 0-d shape returns a numpy complex scalar.
     """
-    scale = math.sqrt(var / 2.0)
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
     elif (out.dtype != np.complex128 or out.shape != np.broadcast_shapes(shape)
@@ -73,23 +107,29 @@ def crandn(rng: np.random.Generator, shape, var: float = 1.0,
         raise ValueError(f"out must be a C-contiguous complex128 array of shape "
                          f"{shape}, got {out.dtype} {out.shape}")
     flat = out.reshape(-1)
-    size = flat.size
-    buf = np.empty(min(size, _CRANDN_SCRATCH))
-    for part in (flat.real, flat.imag):
-        for lo in range(0, size, _CRANDN_SCRATCH):
-            piece = buf[:min(_CRANDN_SCRATCH, size - lo)]
-            rng.standard_normal(out=piece)
-            np.multiply(piece, scale, out=part[lo:lo + piece.size])
+    _draw_normals(rng, (flat.real, flat.imag), math.sqrt(var / 2.0),
+                  np.empty(min(2 * flat.size, _CRANDN_SCRATCH)))
     return out if out.ndim else out[()]
 
 
 def add_crandn(rng: np.random.Generator, out: np.ndarray, var: float) -> None:
     """Add crandn(rng, (rows, cols), var) to each (rows, cols) block of out,
-    in place and in C order of the blocks, through one reused buffer: the sums
-    and the final stream position equal those of one crandn call per block."""
-    noise = np.empty(out.shape[-2:], dtype=np.complex128)
-    for index in np.ndindex(out.shape[:-2]):
-        out[index] += crandn(rng, noise.shape, var, out=noise)
+    in place and in C order of the blocks: the sums and the final stream
+    position equal those of one crandn call per block.
+
+    All blocks' normals are drawn as one stream, block by block and real
+    part before imaginary part, through a float scratch of at most
+    _ADD_CRANDN_SCRATCH entries.  An out that is not C-contiguous is worked
+    on in a contiguous copy that is written back.
+    """
+    work = out if out.flags.c_contiguous else np.ascontiguousarray(out)
+    blocks = work.reshape(math.prod(out.shape[:-2]), math.prod(out.shape[-2:]))
+    blocks = blocks.view(np.float64)             # (blocks, 2 * rows * cols)
+    parts = [part for block in blocks for part in (block[0::2], block[1::2])]
+    _draw_normals(rng, parts, math.sqrt(var / 2.0),
+                  np.empty(min(blocks.size, _ADD_CRANDN_SCRATCH)), add=True)
+    if work is not out:
+        out[...] = work
 
 
 def svd(m: np.ndarray):

@@ -495,6 +495,11 @@ class SnrReport:
     is already scaled by a_k, so a_tilde_k is a_k times the scale of the
     unscaled upstream gradient, and the backward figures of use k sit
     10 log10 a_k dB below that gradient's.
+
+    A row that carries no signal reads -3000 dB, the log of the 1e-300
+    clamp: the forward rows that another use owns, and under an explicit k
+    every stream of a use whose backward gradient is all zero.  Drop those
+    rows (e.g. keep figures above -100 dB) before averaging.
     """
 
     forward: np.ndarray
@@ -521,7 +526,8 @@ def snr_report(layer: OacLayer, channel: ChannelState, x: np.ndarray,
     block of use k, times n_rx / p_n.  Backward: the same figure for the
     streams P_k^H conj(H^T q_k) that reach the precoders, with q_k the
     unit-power block backward sent, times n_tx / p_n and divided by the
-    scale a_tilde_k it sent.  p_n = 0 reports +inf everywhere.
+    scale a_tilde_k it sent.  p_n = 0 reports +inf everywhere, and a row
+    with no signal reads -3000 dB (see SnrReport).
     """
     _, t = layer.forward(x, channel, NOISELESS)
     seen = _hermitian(layer._combiners()) @ t.received

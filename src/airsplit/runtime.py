@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelState, NoiseModel, evolve_channel
-from .linalg import crandn, make_rng, svd
+from .linalg import _CRANDN_SCRATCH, _draw_normals, crandn, make_rng, svd
 from .nn import modulus_softmax_loss
 from .oac import OacConvLayer, OacLayer
 
@@ -354,54 +356,141 @@ class RegretResult:
 
 
 _REGRET_CHUNK = 512
+# Steps of a chunk's imaginary block handed over at a time: the normal
+# equations add one block's gram while the worker draws the next.
+_REGRET_BLOCK = 64
 
 
-def _regret_data(cfg: RegretConfig, rng: np.random.Generator, chunk: np.ndarray):
+def _draw_chunk(rng: np.random.Generator, a: np.ndarray, var: float,
+                buf: np.ndarray, landed) -> None:
+    """Fill the complex chunk a with the bytes of crandn(rng, a.shape, var).
+
+    The real block is drawn first, then the imaginary block in blocks of
+    _REGRET_BLOCK steps (a's leading axis); landed(hi) is called once steps
+    [0, hi) are complete.  This runs on a worker thread, so it draws through
+    buf, the caller's float scratch, allocates no large array and calls no
+    public function of the package, whose callables a tracer may wrap.
+    """
+    flat = a.reshape(-1)
+    per_step = flat.size // a.shape[0]
+    scale = math.sqrt(var / 2.0)
+    _draw_normals(rng, (flat.real,), scale, buf)
+    for lo in range(0, a.shape[0], _REGRET_BLOCK):
+        hi = min(lo + _REGRET_BLOCK, a.shape[0])
+        _draw_normals(rng, (flat.imag[lo * per_step:hi * per_step],), scale, buf)
+        landed(hi)
+
+
+def _draw_chunk_while(rng: np.random.Generator, a: np.ndarray, var: float,
+                      buf: np.ndarray, during, landed) -> None:
+    """Draw the chunk a on a worker thread (_draw_chunk) while this thread
+    runs during(), then landed(lo, hi) for each block of steps [lo, hi) as
+    the worker completes it.  Returns once the worker is joined; an
+    exception raised in the worker is re-raised here after the join."""
+    handoff = queue.SimpleQueue()
+
+    def work():
+        try:
+            _draw_chunk(rng, a, var, buf, handoff.put)
+        except BaseException as exc:    # re-raised by the caller after the join
+            handoff.put(exc)
+        else:
+            handoff.put(None)
+
+    worker = threading.Thread(target=work, name="regret-chunk-draw")
+    worker.start()
+    try:
+        during()
+        lo = 0
+        while isinstance(hi := handoff.get(), int):
+            landed(lo, hi)
+            lo = hi
+    finally:
+        worker.join()
+    if hi is not None:
+        raise hi
+
+
+def _regret_data(cfg: RegretConfig, rng: np.random.Generator, chunk: np.ndarray,
+                 buf: np.ndarray, during, landed):
     """Yield the (A, b) chunks of the data stream, replayably, into one buffer.
 
     chunk is a (min(_REGRET_CHUNK, steps), seeds, obs, dim) complex buffer;
     every A is drawn into chunk[:n] in place and yielded as that view, so a
-    yielded A is valid only until the next chunk is requested.  b is small
-    and freshly allocated.  The draw order is: hidden truth first, then per
-    chunk the measurement matrices and observation noise.  Re-seeding
-    reproduces the stream exactly, so the experiment never has to hold all
-    steps in memory.
+    yielded A is valid only until the next chunk is requested.  A is drawn
+    on a worker thread through the float scratch buf (_draw_chunk_while);
+    meanwhile this thread runs during(n), then, for each block of A's steps
+    as it completes, forms that block's A @ truth and calls landed(block).
+    b is small and freshly allocated.  The draw order is that of crandn
+    calls: hidden truth first, then per chunk the measurement matrices and
+    observation noise.  Re-seeding reproduces the stream exactly, so the
+    experiment never has to hold all steps in memory.
     """
     d, m, s = cfg.dim, cfg.obs, cfg.n_seeds
-    truth = crandn(rng, (s, d), var=1.0)
+    truth = crandn(rng, (s, d), var=1.0)[:, :, None]
     done = 0
     while done < cfg.steps:
         n = min(_REGRET_CHUNK, cfg.steps - done)
-        a = crandn(rng, (n, s, m, d), var=1.0 / d, out=chunk[:n])
+        a = chunk[:n]
+        clean = np.empty((n, s, m, 1), dtype=np.complex128)     # A @ truth
+
+        def block_landed(lo, hi):
+            np.matmul(a[lo:hi], truth, out=clean[lo:hi])
+            landed(a[lo:hi])
+
+        _draw_chunk_while(rng, a, 1.0 / d, buf, lambda: during(n), block_landed)
         b = crandn(rng, (n, s, m), var=cfg.obs_noise ** 2)
-        b += (a @ truth[:, :, None])[..., 0]
+        b += clean[..., 0]
+        del clean
         yield a, b
         done += n
 
 
-def _hindsight_optimum(cfg: RegretConfig, stream, scratch: np.ndarray) -> np.ndarray:
-    """(seeds, dim) least-squares optimum over the whole data stream.
+class _NormalEquations:
+    """Per-seed normal equations of the hindsight least squares.
 
-    Accumulates the normal equations chunk by chunk over the (A, b) pairs of
-    stream, per seed as BLAS matmuls on one seed's rows and their
-    conjugates, both gathered into the front of the flat complex scratch
-    (2 * chunk * obs * dim entries), which the replay reuses for its update
-    noise once this returns.
+    add_gram adds a block of steps' A_k^H A_k into seed k's gram, as a BLAS
+    matmul on that seed's rows and their conjugates, gathered into a scratch
+    of 2 * _REGRET_BLOCK * obs rows; add_rhs adds a chunk's A_k^H b_k.
     """
-    d, s_seeds = cfg.dim, cfg.n_seeds
-    gram = np.zeros((s_seeds, d, d), dtype=np.complex128)
-    rhs = np.zeros((s_seeds, d), dtype=np.complex128)
-    size = min(_REGRET_CHUNK, cfg.steps) * cfg.obs
-    seed_rows, seed_conj = scratch[:2 * size * d].reshape(2, size, d)
-    for a, b in stream:
-        rows = a.shape[0] * cfg.obs
-        ak, akc = seed_rows[:rows], seed_conj[:rows]
-        for k in range(s_seeds):
+
+    def __init__(self, cfg: RegretConfig):
+        d, s_seeds = cfg.dim, cfg.n_seeds
+        self.gram = np.zeros((s_seeds, d, d), dtype=np.complex128)
+        self.rhs = np.zeros((s_seeds, d), dtype=np.complex128)
+        self.rows, self.conj = np.empty((2, _REGRET_BLOCK * cfg.obs, d),
+                                        dtype=np.complex128)
+
+    def add_gram(self, a: np.ndarray) -> None:
+        n_rows = a.shape[0] * a.shape[2]
+        ak, akc = self.rows[:n_rows], self.conj[:n_rows]
+        for k in range(a.shape[1]):
             np.copyto(ak.reshape(a[:, k].shape), a[:, k])
-            ah = np.conj(ak, out=akc).T
-            gram[k] += ah @ ak
-            rhs[k] += ah @ b[:, k].reshape(-1)
-    return np.stack([np.linalg.solve(gram[s], rhs[s]) for s in range(s_seeds)])
+            self.gram[k] += np.conj(ak, out=akc).T @ ak
+
+    def add_rhs(self, a: np.ndarray, b: np.ndarray) -> None:
+        # A_k^H b_k = conj(sum over steps of b_k^H A_k): one BLAS gemv per step
+        # and seed, taken a block of steps at a time to bound the temporary.
+        for lo in range(0, a.shape[0], _REGRET_BLOCK):
+            blk = slice(lo, lo + _REGRET_BLOCK)
+            self.rhs += np.conj(np.sum(np.conj(b[blk])[:, :, None, :] @ a[blk], axis=0)[:, 0])
+
+    def solve(self) -> np.ndarray:
+        """(seeds, dim) least-squares optimum of the stream added so far."""
+        return np.stack([np.linalg.solve(g, r) for g, r in zip(self.gram, self.rhs)])
+
+
+def _nothing(*_) -> None:
+    pass
+
+
+def _row_norms(x: np.ndarray, sq: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1) of a complex x into out, through the
+    complex scratch sq of x's shape: the same ops, so the same bytes."""
+    np.conjugate(x, out=sq)
+    np.multiply(sq, x, out=sq)
+    np.add.reduce(sq.real, axis=-1, out=out)
+    return np.sqrt(out, out=out)
 
 
 def regret_experiment(config: RegretConfig = RegretConfig()) -> RegretResult:
@@ -415,12 +504,23 @@ def regret_experiment(config: RegretConfig = RegretConfig()) -> RegretResult:
     buffer.  A stream of one chunk (steps <= _REGRET_CHUNK) is drawn once:
     the replay reads the buffer the first pass filled.  A longer stream has
     overwritten its first chunks by then, so the replay redraws it from its
-    seed.  The first pass's per-seed row buffers and the replay's
-    (chunk, seeds, dim) update-noise buffer share one scratch, so peak
-    memory stays at one chunk whatever the number of steps.  The amplitude
-    fit a(sigma) ~ c0 + c1 sigma^2 of sqrt(T) R(T)/T over the fit window
-    yields the predicted ratio between the largest and the smallest positive
-    sigma.
+    seed.  Peak memory stays at one chunk whatever the number of steps.
+
+    A worker thread draws each chunk's measurement matrices (_draw_chunk,
+    the bytes and stream position of one crandn call) while this thread
+    works on the same chunk: it draws the chunk's update noise, from its own
+    stream, into a (chunk, seeds, dim) buffer while the real block is drawn
+    (in the first pass for a one-chunk stream, in the replay otherwise),
+    and in the first pass it adds each _REGRET_BLOCK-step block's A_k^H A_k
+    to the gram as the block's imaginary part lands.  b and the right-hand
+    side follow once the worker is joined.  Only the normal equations'
+    summation order depends on this (blocks for the gram, per-step
+    products for the right-hand side), so the hindsight optimum moves by
+    rounding alone; given the optimum, the replay's bytes are fixed.
+
+    The amplitude fit a(sigma) ~ c0 + c1 sigma^2 of sqrt(T) R(T)/T over the
+    fit window yields the predicted ratio between the largest and the
+    smallest positive sigma.
     """
     cfg = config
     d, m, steps, s_seeds = cfg.dim, cfg.obs, cfg.steps, cfg.n_seeds
@@ -429,25 +529,42 @@ def regret_experiment(config: RegretConfig = RegretConfig()) -> RegretResult:
 
     rows = min(_REGRET_CHUNK, steps)
     chunk = np.empty((rows, s_seeds, m, d), dtype=np.complex128)
-    scratch = np.empty(rows * d * max(2 * m, s_seeds), dtype=np.complex128)
-    stream = _regret_data(cfg, make_rng(cfg.seed, 6, 0), chunk)
-    if steps <= _REGRET_CHUNK:
+    draw_buf = np.empty(min(chunk.size, _CRANDN_SCRATCH))
+    noise_buf = np.empty((rows, s_seeds, d), dtype=np.complex128)
+    step_rng = make_rng(cfg.seed, 6, 1)
+
+    def draw_noise(n):
+        crandn(step_rng, (n, s_seeds, d), var=1.0, out=noise_buf[:n])
+
+    one_chunk = steps <= _REGRET_CHUNK
+    normal = _NormalEquations(cfg)
+    stream = _regret_data(cfg, make_rng(cfg.seed, 6, 0), chunk, draw_buf,
+                          during=draw_noise if one_chunk else _nothing,
+                          landed=normal.add_gram)
+    if one_chunk:
         stream = list(stream)       # the whole stream: one (A, b) pair
-    theta_star = _hindsight_optimum(cfg, stream, scratch)
-    if steps > _REGRET_CHUNK:
-        stream = _regret_data(cfg, make_rng(cfg.seed, 6, 0), chunk)
+    for a, b in stream:
+        normal.add_rhs(a, b)
+    theta_star = normal.solve()
+    del normal
+    if not one_chunk:
+        stream = _regret_data(cfg, make_rng(cfg.seed, 6, 0), chunk, draw_buf,
+                              during=draw_noise, landed=_nothing)
     radius = cfg.radius_factor * np.linalg.norm(theta_star, axis=1)   # (seeds,)
 
-    step_rng = make_rng(cfg.seed, 6, 1)
-    noise_buf = scratch[:rows * s_seeds * d].reshape(rows, s_seeds, d)
     theta = np.zeros((n_sig, s_seeds, d), dtype=np.complex128)
     excess = np.empty((steps, n_sig, s_seeds))
     grad_bound = 0.0
     sig_scale = sigmas[:, None, None]
+    # Every per-step temporary has a buffer of its own, written with out=.
+    resid = np.empty((rows, n_sig, s_seeds, m), dtype=np.complex128)
+    a_conj = np.empty((s_seeds, m, d), dtype=np.complex128)
+    grad, step, sq = (np.empty((n_sig, s_seeds, d), dtype=np.complex128) for _ in range(3))
+    norms = np.empty((n_sig, s_seeds))
     t = 0
     for a, b in stream:
         n = a.shape[0]
-        noise = crandn(step_rng, (n, s_seeds, d), var=1.0, out=noise_buf[:n])
+        noise = noise_buf[:n]
         # In place and freed before the steps, so the replay holds no more
         # than the first pass did.
         resid_star = (a @ theta_star[:, :, None])[..., 0]
@@ -456,19 +573,27 @@ def regret_experiment(config: RegretConfig = RegretConfig()) -> RegretResult:
         del resid_star
         loss_star = np.sum(np.square(loss_star, out=loss_star), axis=2)  # (n, seeds)
         for i in range(n):
-            resid = (a[i] @ theta[..., None])[..., 0] - b[i][None]
-            excess[t] = np.sum(np.abs(resid) ** 2, axis=2) - loss_star[i][None]
-            grad = (resid[:, :, None, :] @ a[i].conj())[:, :, 0, :]
-            gmax = float(np.max(np.abs(grad)))
-            if gmax * math.sqrt(d) > grad_bound:   # cheap upper bound first
-                grad_bound = max(grad_bound,
-                                 float(np.max(np.linalg.norm(grad, axis=2))))
+            r = resid[i]
+            np.matmul(a[i], theta[..., None], out=r[..., None])
+            np.subtract(r, b[i], out=r)
+            np.matmul(r[:, :, None, :], np.conjugate(a[i], out=a_conj),
+                      out=grad[:, :, None, :])
+            grad_bound = max(grad_bound, float(_row_norms(grad, sq, norms).max()))
             t += 1
             eta = cfg.eta0 / math.sqrt(t)
-            theta = theta - eta * (grad + sig_scale * noise[i][None])
-            norms = np.linalg.norm(theta, axis=2)
-            np.clip(radius[None] / np.maximum(norms, 1e-300), None, 1.0, out=norms)
-            theta = theta * norms[:, :, None]
+            np.multiply(sig_scale, noise[i], out=step)
+            np.add(grad, step, out=step)
+            np.multiply(eta, step, out=step)
+            np.subtract(theta, step, out=theta)
+            # Project onto the ball: theta *= min(1, radius / |theta|).
+            _row_norms(theta, sq, norms)
+            np.maximum(norms, 1e-300, out=norms)
+            np.divide(radius, norms, out=norms)
+            np.minimum(norms, 1.0, out=norms)
+            np.multiply(theta, norms[:, :, None], out=theta)
+        sq_abs = np.abs(resid[:n])
+        excess[t - n:t] = np.sum(np.square(sq_abs, out=sq_abs), axis=3) - loss_star[:, None]
+        del sq_abs
 
     regret = np.cumsum(excess, axis=0)                                # (steps, sig, seeds)
     floor = min(max(cfg.fit_floor, 2), steps)

@@ -239,6 +239,25 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
             (tmp_path / "b" / rel).read_bytes(), rel
 
 
+@pytest.mark.parametrize("baseline", ["proposed", "centralized"])
+def test_run_experiment_leaves_no_file_of_an_earlier_run(tmp_path, baseline):
+    # A 3-node sweep over seeds (0, 1), then a 2-node seed-0 sweep into the
+    # same directory: it must read as if the second had run alone.  The
+    # centralized second sweep writes no channels/ at all.
+    run_experiment(_tiny_config(n_nodes=3, seeds=(0, 1)), tmp_path / "reused")
+    assert (tmp_path / "reused" / "channels" / "link1.json").exists()
+    assert (tmp_path / "reused" / "runs" / "r2_snrinf_seed1.csv").exists()
+    cfg = _tiny_config(baseline=baseline)
+    run_experiment(cfg, tmp_path / "reused")
+    run_experiment(cfg, tmp_path / "fresh")
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+                for p in root.rglob("*")}
+
+    assert tree(tmp_path / "reused") == tree(tmp_path / "fresh")
+
+
 def test_run_experiment_records_failures_and_continues(tmp_path, monkeypatch):
     # no valid config is known to break one combination and not the others,
     # so the failure is injected into the r = 1 run only

@@ -77,6 +77,21 @@ def test_add_crandn_adds_one_crandn_draw_per_block_in_place():
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
+@pytest.mark.parametrize("shape", [(4, 16, 64), (8, 64, 64), (4, 16, 256), (8, 64, 256),
+                                   (3, 5, 7), (2, 150, 300), (16, 4), (3, 0, 4)])
+def test_add_crandn_equals_one_crandn_per_block(shape):
+    # All blocks come from one stream of normals drawn in bounded pieces; at
+    # (2, 150, 300) one block's real part alone overflows the scratch.
+    out = crandn(make_rng(15), shape)
+    rng, twin = make_rng(16), make_rng(16)
+    want = out.copy()
+    for index in np.ndindex(shape[:-2]):
+        want[index] += crandn(twin, shape[-2:], 0.3)
+    add_crandn(rng, out, 0.3)
+    assert out.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_crandn_zero_variance():
     z = crandn(make_rng(0), (3, 2), var=0.0)
     np.testing.assert_array_equal(z, np.zeros((3, 2)))

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -487,26 +489,73 @@ def test_regret_draws_a_one_chunk_stream_once(monkeypatch, steps, draws):
     cfg = RegretConfig(steps=steps, dim=4, obs=2, n_seeds=2)
     data_shape = (cfg.n_seeds, cfg.obs, cfg.dim)
     counted = []
+    draw_chunk = runtime._draw_chunk
 
-    def counting_crandn(rng, shape, *args, **kwargs):
-        if tuple(shape[1:]) == data_shape:
-            counted.append(shape[0])
-        return crandn(rng, shape, *args, **kwargs)
+    def counting_draw_chunk(rng, a, *args, **kwargs):
+        if tuple(a.shape[1:]) == data_shape:
+            counted.append(a.shape[0])
+        return draw_chunk(rng, a, *args, **kwargs)
 
     expected = regret_experiment(cfg)
-    monkeypatch.setattr(runtime, "crandn", counting_crandn)
+    monkeypatch.setattr(runtime, "_draw_chunk", counting_draw_chunk)
     got = regret_experiment(cfg)
     assert len(counted) == draws
     assert sum(counted) == steps * (1 if draws == 1 else 2)
     np.testing.assert_array_equal(got.avg_regret, expected.avg_regret)
 
 
+@pytest.mark.parametrize("steps, scratch", [(130, 1000), (64, 1 << 16), (1, 7)])
+def test_worker_fills_a_chunk_with_the_bytes_of_crandn(steps, scratch):
+    # The worker draws the real block, then the imaginary one block by block,
+    # through a float scratch whose pieces straddle the blocks; the bytes and
+    # the generator's final state are those of one crandn call.  Each block
+    # is complete when it is handed over, even with the interpreter lock
+    # switching threads as often as it can.
+    shape, var = (steps, 3, 5, 70), 1.0 / 70
+    rng, twin = make_rng(40, 6, 0), make_rng(40, 6, 0)
+    a = np.full(shape, np.nan + 1j, dtype=np.complex128)
+    seen = np.full_like(a, np.nan)
+    ran, blocks = [], []
+
+    def landed(lo, hi):
+        blocks.append((lo, hi))
+        seen[lo:hi] = a[lo:hi]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runtime._draw_chunk_while(rng, a, var, np.empty(scratch),
+                                  lambda: ran.append(1), landed)
+    finally:
+        sys.setswitchinterval(switch)
+    want = crandn(twin, shape, var).tobytes()
+    assert a.tobytes() == want and seen.tobytes() == want
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert ran == [1]
+    edges = list(range(0, steps, runtime._REGRET_BLOCK)) + [steps]
+    assert blocks == list(zip(edges[:-1], edges[1:]))
+
+
+def test_regret_reraises_a_worker_exception_after_the_join(monkeypatch):
+    def failing_draw_chunk(rng, a, var, buf, landed):
+        landed(1)
+        raise FloatingPointError("injected in the worker")
+
+    before = threading.active_count()
+    monkeypatch.setattr(runtime, "_draw_chunk", failing_draw_chunk)
+    with pytest.raises(FloatingPointError, match="injected in the worker"):
+        regret_experiment(RegretConfig(steps=200, dim=4, obs=2, n_seeds=2))
+    assert threading.active_count() == before
+    assert not any(t.name == "regret-chunk-draw" for t in threading.enumerate())
+
+
 def test_regret_peak_memory_stays_near_one_chunk():
     # Every (512, seeds, obs, dim) data chunk is drawn into one buffer; this
     # 3-chunk stream is drawn by both passes.  Holding a second chunk (pass
     # 1's last one, or the generator's previous one while the next is drawn)
-    # raised the peak to ~3 chunks; one chunk plus the scratch that pass 1's
-    # per-seed row buffers and the replay's noise buffer share measures ~1.7.
+    # raised the peak to ~3 chunks; one chunk plus the update-noise buffer,
+    # the worker's float scratch and the replay's residual stack measures
+    # ~1.73.
     cfg = RegretConfig(steps=1100, dim=16, n_seeds=4)
     chunk_bytes = 512 * cfg.n_seeds * cfg.obs * cfg.dim * 16
     regret_experiment(RegretConfig(steps=20, dim=4, obs=2, n_seeds=2, fit_floor=5))

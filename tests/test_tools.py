@@ -1,0 +1,67 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_runs = _load("compare_runs")
+
+
+def _run_dir(root: Path, scale: float = 1.0, csv: str = "phase,step\ntrain,1\n"):
+    (root / "cfg" / "runs").mkdir(parents=True)
+    (root / "cfg" / "runs" / "r2_snr10_seed0.csv").write_text(csv)
+    (root / "regret_500").mkdir()
+    np.save(root / "regret_500" / "final.npy", np.array([1.0, 2.0, 0.0]) * scale)
+    np.save(root / "regret_500" / "ts.npy", np.arange(4.0))
+    return root
+
+
+def test_identical_directories_pass(tmp_path, capsys):
+    a, b = _run_dir(tmp_path / "a"), _run_dir(tmp_path / "b")
+    assert compare_runs.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "3 byte-equal, 0 within rtol, 0 failed"
+
+
+@pytest.mark.parametrize("rtol, code", [(None, 1), ("1e-12", 0), ("1e-16", 1)])
+def test_a_differing_npy_file_is_judged_by_its_relative_difference(tmp_path, capsys,
+                                                                   rtol, code):
+    a, b = _run_dir(tmp_path / "a"), _run_dir(tmp_path / "b", scale=1.0 + 1e-15)
+    args = [str(a), str(b)] + ([] if rtol is None else ["--rtol", rtol])
+    assert compare_runs.main(args) == code
+    out = capsys.readouterr().out
+    assert "regret_500/final.npy: largest relative difference 1.11e-15" in out
+    assert out.splitlines()[-1].startswith("2 byte-equal")
+
+
+@pytest.mark.parametrize("change", ["csv", "missing", "extra", "shape"])
+def test_any_other_difference_fails(tmp_path, capsys, change):
+    a, b = _run_dir(tmp_path / "a"), _run_dir(tmp_path / "b")
+    if change == "csv":
+        (b / "cfg" / "runs" / "r2_snr10_seed0.csv").write_text("phase,step\ntrain,2\n")
+    elif change == "missing":
+        (b / "regret_500" / "ts.npy").unlink()
+    elif change == "extra":
+        (b / "cfg" / "runs" / "r2_snr10_seed1.csv").write_text("phase,step\n")
+    else:
+        np.save(b / "regret_500" / "ts.npy", np.arange(5.0))
+    assert compare_runs.main([str(a), str(b), "--rtol", "1"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_relative_difference_handles_zeros_infinities_and_nans():
+    rel = compare_runs.relative_difference
+    assert rel(np.array([0.0, np.inf, np.nan]), np.array([0.0, np.inf, np.nan])) == 0.0
+    assert rel(np.array([2.0]), np.array([1.0])) == 0.5
+    assert rel(np.array([1.0]), np.array([np.nan])) == np.inf
+    assert rel(np.array([1.0]), np.array([np.inf])) == np.inf
+    assert rel(np.array([1.0 + 1.0j]), np.array([1.0 - 1.0j])) == pytest.approx(2.0 ** 0.5)
