@@ -14,8 +14,7 @@ from .channel import (NOISELESS, ChannelState, NoiseModel, PathSet,
                       sample_channel, save_channel, transmit_backward,
                       transmit_forward, wrap_angle)
 from .nn import (Adam, AvgPool2d, ComplexBatchNorm, ComplexNet, Conv2d, CRelu,
-                 Dense, Flatten, Sgd, load_checkpoint,
-                 modulus_softmax_loss, numerical_gradient, save_checkpoint)
+                 Dense, Flatten, Sgd, modulus_softmax_loss, numerical_gradient)
 from .oac import (ALL_DESIGNS, ChannelRankError, FeasibilityError,
                   FeasibilityWarning, OacBackwardResult, OacConvLayer,
                   OacDesign, OacLayer, SnrReport, Transcript, decompose_weight,

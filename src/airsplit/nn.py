@@ -25,8 +25,6 @@ __all__ = [
     "Sgd",
     "Adam",
     "numerical_gradient",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 
@@ -332,12 +330,6 @@ class Sgd:
         for name, g in grads.items():
             params[name] -= self.lr * g
 
-    def state_dict(self):
-        return {"t": np.array(0)}
-
-    def load_state_dict(self, state):
-        pass
-
 
 class Adam:
     """Adam applied to real and imaginary parts independently.
@@ -406,30 +398,6 @@ class Adam:
         for name, sl, shape in self._slices:
             params[name] -= step[sl].reshape(shape)
 
-    def state_dict(self):
-        """Per-name copies of the moments, plus the step counter."""
-        out = {"t": np.array(self.t)}
-        for name in self.m:
-            out[f"m::{name}"] = self.m[name].copy()
-            out[f"vr::{name}"] = self.v_re[name].copy()
-            out[f"vi::{name}"] = self.v_im[name].copy()
-        return out
-
-    def load_state_dict(self, state):
-        self.t = int(state["t"])
-        self.m, self.v_re, self.v_im = {}, {}, {}
-        self._layout, self._flat, self._slices = None, None, []
-        for key, arr in state.items():
-            if key == "t":
-                continue
-            kind, name = key.split("::", 1)
-            if kind == "m":
-                self.m[name] = arr.astype(np.complex128)
-            elif kind == "vr":
-                self.v_re[name] = arr.astype(np.float64)
-            elif kind == "vi":
-                self.v_im[name] = arr.astype(np.float64)
-
 
 def numerical_gradient(loss_fn, params: dict, eps: float = 1e-6) -> dict:
     """Central differences on real and imaginary parts of each parameter.
@@ -461,42 +429,3 @@ def numerical_gradient(loss_fn, params: dict, eps: float = 1e-6) -> dict:
         grads[name] = g
     return grads
 
-
-# -- checkpoints ------------------------------------------------------------
-
-def _net_state(net: ComplexNet) -> dict:
-    out = dict(net.parameters())
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, ComplexBatchNorm):
-            out[f"{i}.running_mean"] = layer.running_mean
-            out[f"{i}.running_var_re"] = layer.running_var_re
-            out[f"{i}.running_var_im"] = layer.running_var_im
-    return out
-
-
-def save_checkpoint(path, net: ComplexNet, optimizer=None, step: int = 0) -> None:
-    """Write parameters, batch-norm running stats, optimizer state and the
-    step counter to an .npz archive; loading restores them exactly."""
-    payload = {f"net::{k}": v for k, v in _net_state(net).items()}
-    payload["meta::step"] = np.array(step)
-    if optimizer is not None:
-        for k, v in optimizer.state_dict().items():
-            payload[f"opt::{k}"] = v
-    np.savez(path, **payload)
-
-
-def load_checkpoint(path, net: ComplexNet, optimizer=None) -> int:
-    """Restore a checkpoint written by save_checkpoint into net (and
-    optimizer, when given).  Returns the stored step counter."""
-    with np.load(path) as data:
-        state = _net_state(net)
-        for key in data.files:
-            if key.startswith("net::"):
-                name = key[5:]
-                if name not in state:
-                    raise ValueError(f"checkpoint key {name} not in this network")
-                state[name][...] = data[key]
-        if optimizer is not None:
-            opt_state = {k[5:]: data[k] for k in data.files if k.startswith("opt::")}
-            optimizer.load_state_dict(opt_state)
-        return int(data["meta::step"])

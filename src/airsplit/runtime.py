@@ -83,6 +83,13 @@ def comm_loss_gradients(tracker: CovarianceTracker, target: np.ndarray, r: int,
     gradient and a nan penalty, which the caller reports as divergence.
     """
     target = np.asarray(target, dtype=np.complex128)
+    if side == "combiner":
+        scale = weight
+    elif side == "signal":
+        b = target.shape[-1]
+        scale = weight / (2.0 * b * b)
+    else:
+        raise ValueError(f"side = {side!r} must be 'combiner' or 'signal'")
     if target.shape[-2] != tracker.dim:
         raise ValueError(f"target rows {target.shape[-2]} != tracker dim {tracker.dim}")
     if r >= tracker.dim or tracker.count == 0:
@@ -92,13 +99,6 @@ def comm_loss_gradients(tracker: CovarianceTracker, target: np.ndarray, r: int,
     u, _, _ = svd(tracker.matrix)
     u_w = u[:, r:]
     coeff = u_w.conj().T @ target
-    if side == "combiner":
-        scale = weight
-    elif side == "signal":
-        b = target.shape[-1]
-        scale = weight / (2.0 * b * b)
-    else:
-        raise ValueError("side must be 'combiner' or 'signal'")
     loss = 0.0
     for block in coeff.reshape((-1,) + coeff.shape[-2:]):
         loss += scale * float(np.sum(np.abs(block) ** 2))
@@ -124,6 +124,8 @@ class SplitLink:
                  evolve_rng: np.random.Generator | None = None):
         if not 0.0 <= rho <= 1.0:
             raise ValueError(f"rho = {rho} must lie in [0, 1]")
+        if not comm_weight >= 0.0:
+            raise ValueError(f"comm_weight = {comm_weight} must be >= 0")
         if rho > 0.0 and evolve_rng is None:
             raise ValueError("rho > 0 needs an evolve_rng")
         self.layer = layer

@@ -7,9 +7,6 @@ few seconds; the heavier statistical work lives in the test suite.
 """
 from __future__ import annotations
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
 from .bench import (DataConfig, LayerSpec, cost_comparison, cost_report,
@@ -17,9 +14,8 @@ from .bench import (DataConfig, LayerSpec, cost_comparison, cost_report,
 from .channel import (NOISELESS, NoiseModel, channel_snr, sample_channel,
                       transmit_backward, evolve_channel)
 from .linalg import make_rng, crandn, matrix_rank, pinv, svd
-from .nn import (Adam, ComplexBatchNorm, ComplexNet, CRelu, Dense,
-                 load_checkpoint, modulus_softmax_loss, numerical_gradient,
-                 save_checkpoint)
+from .nn import (ComplexBatchNorm, ComplexNet, CRelu, Dense,
+                 modulus_softmax_loss, numerical_gradient)
 from .oac import (ALL_DESIGNS, FeasibilityError, OacConvLayer, OacDesign,
                   OacLayer, decompose_weight, equivalent_weight,
                   layer_from_weight, power_normalize)
@@ -208,32 +204,6 @@ def check_dataset_determinism():
     assert np.array_equal(a.test_y, b.test_y)
 
 
-def check_checkpoint_roundtrip():
-    rng = make_rng(23, 0)
-    net = ComplexNet([Dense(3, 4, rng), ComplexBatchNorm(4), CRelu(),
-                      Dense(4, 2, rng)])
-    opt = Adam(0.01)
-    x = crandn(rng, (3, 8))
-    labels = np.array([0, 1] * 4)
-    for _ in range(3):
-        y, caches = net.forward(x, train=True)
-        _, g, _ = modulus_softmax_loss(y, labels)
-        _, grads = net.backward(caches, g)
-        opt.step(net.parameters(), grads)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "state.npz"
-        save_checkpoint(path, net, opt, step=3)
-        rng2 = make_rng(24, 0)
-        net2 = ComplexNet([Dense(3, 4, rng2), ComplexBatchNorm(4), CRelu(),
-                           Dense(4, 2, rng2)])
-        opt2 = Adam(0.01)
-        step = load_checkpoint(path, net2, opt2)
-    assert step == 3
-    a, b = net.parameters(), net2.parameters()
-    for name in a:
-        assert np.array_equal(a[name], b[name]), f"parameter {name} not restored"
-
-
 CHECKS = [
     ("rng-streams", check_rng_streams),
     ("channel-reciprocity", check_channel_reciprocity),
@@ -250,7 +220,6 @@ CHECKS = [
     ("noise-model", check_noise_model),
     ("cost-worked-example", check_cost_worked_example),
     ("dataset-determinism", check_dataset_determinism),
-    ("checkpoint-roundtrip", check_checkpoint_roundtrip),
 ]
 
 

@@ -5,7 +5,7 @@ import _oracles as oracles
 from airsplit.linalg import crandn, make_rng
 from airsplit.nn import (
     Adam, AvgPool2d, ComplexBatchNorm, ComplexNet, Conv2d, CRelu, Dense, Flatten,
-    Sgd, load_checkpoint, modulus_softmax_loss, numerical_gradient, save_checkpoint,
+    Sgd, modulus_softmax_loss, numerical_gradient,
 )
 
 
@@ -220,28 +220,6 @@ def test_adam_drives_a_quadratic_down():
     np.testing.assert_allclose(params["z"], target, atol=1e-3)
 
 
-def test_adam_state_round_trip():
-    rng = make_rng(51)
-    params_a = {"w": crandn(rng, (3, 3))}
-    params_b = {k: v.copy() for k, v in params_a.items()}
-    grads = [crandn(make_rng(52, i), (3, 3)) for i in range(6)]
-    opt_a = Adam(lr=0.01)
-    for g in grads[:3]:
-        opt_a.step(params_a, {"w": g})
-    opt_b = Adam(lr=0.01)
-    opt_b.load_state_dict(opt_a.state_dict())
-    opt_c = Adam(lr=0.01)
-    for g in grads[:3]:
-        opt_c.step(params_b, {"w": g})
-    # resumed and continuous optimizers take identical further steps
-    pa = {k: v.copy() for k, v in params_a.items()}
-    for g in grads[3:]:
-        opt_b.step(params_a, {"w": g})
-        opt_c.step(params_b, {"w": g})
-    np.testing.assert_array_equal(params_a["w"], params_b["w"])
-    assert not np.array_equal(params_a["w"], pa["w"])
-
-
 class _PerTensorAdam:
     """Adam one tensor at a time: the reference for the fused step."""
 
@@ -264,8 +242,7 @@ class _PerTensorAdam:
 
 def test_fused_adam_is_byte_equal_to_per_tensor_adam():
     # 300 steps; from step 100 to 199 the tensor "b" is frozen (a layout
-    # change, as in the ideal baseline), and at step 150 the state goes
-    # through state_dict / load_state_dict into a fresh optimizer.
+    # change, as in the ideal baseline).
     shapes = {"w": (4, 3), "b": (4,), "k": (2, 2, 3, 3), "s": ()}
     rng = make_rng(70)
     params = {name: np.array(crandn(rng, shape)) for name, shape in shapes.items()}
@@ -275,21 +252,11 @@ def test_fused_adam_is_byte_equal_to_per_tensor_adam():
         grads = {name: crandn(make_rng(71, step), shape)
                  for name, shape in shapes.items()
                  if not (name == "b" and 100 <= step < 200)}
-        if step == 150:
-            state = opt.state_dict()
-            assert sorted(state) == sorted(
-                ["t"] + [f"{kind}::{name}" for kind in ("m", "vr", "vi")
-                         for name in shapes])
-            opt = Adam(lr=0.01)
-            opt.load_state_dict(state)
         opt.step(params, grads)
         ref_opt.step(ref, grads)
     for name in shapes:
         assert params[name].tobytes() == ref[name].tobytes(), name
         assert opt.m[name].tobytes() == np.asarray(ref_opt.m[name]).tobytes(), name
-    snapshot = opt.state_dict()
-    opt.step(params, grads)
-    assert snapshot["m::w"].tobytes() == np.asarray(ref_opt.m["w"]).tobytes()
 
 
 def test_numerical_gradient_agrees_with_oracle():
@@ -301,41 +268,3 @@ def test_numerical_gradient_agrees_with_oracle():
     got = numerical_gradient(loss_fn, params)
     want = oracles.fd_gradient(loss_fn, params["z"])
     np.testing.assert_allclose(got["z"], want, atol=1e-9)
-
-
-def test_checkpoint_restores_training_exactly(tmp_path):
-    def fresh_net(seed):
-        rng = make_rng(seed)
-        return ComplexNet([Dense(3, 8, rng), ComplexBatchNorm(8), CRelu(),
-                           Dense(8, 4, rng)])
-
-    def batch(i):
-        rng = make_rng(60, i)
-        return crandn(rng, (3, 10)), rng.integers(0, 4, 10)
-
-    def train_steps(net, opt, lo, hi):
-        for i in range(lo, hi):
-            x, labels = batch(i)
-            y, caches = net.forward(x, train=True)
-            _, g, _ = modulus_softmax_loss(y, labels)
-            _, grads = net.backward(caches, g)
-            opt.step(net.parameters(), grads)
-
-    net_a = fresh_net(61)
-    opt_a = Adam(lr=0.01)
-    train_steps(net_a, opt_a, 0, 4)
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, net_a, opt_a, step=4)
-
-    net_b = fresh_net(62)            # different init, fully overwritten by load
-    opt_b = Adam(lr=0.01)
-    step = load_checkpoint(path, net_b, opt_b)
-    assert step == 4
-    bn_a, bn_b = net_a.layers[1], net_b.layers[1]
-    np.testing.assert_array_equal(bn_a.running_mean, bn_b.running_mean)
-
-    train_steps(net_a, opt_a, 4, 7)
-    train_steps(net_b, opt_b, 4, 7)
-    for name, arr in net_a.parameters().items():
-        np.testing.assert_array_equal(arr, net_b.parameters()[name],
-                                      err_msg=name)

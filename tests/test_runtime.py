@@ -108,6 +108,19 @@ def test_comm_loss_is_nan_and_svd_free_for_an_overflowed_tracker(monkeypatch, ba
         assert g.shape == target.shape and not np.any(g)
 
 
+@pytest.mark.parametrize("state", ["empty", "r_covers_dim", "overflowed", "live"])
+def test_comm_loss_rejects_an_unknown_side_before_any_work(monkeypatch, state):
+    tr = CovarianceTracker(4)
+    if state != "empty":
+        tr.update(crandn(make_rng(109), (4, 8)))
+    if state == "overflowed":
+        tr.matrix[0, 1] = np.nan
+    r = 4 if state == "r_covers_dim" else 2
+    monkeypatch.setattr(runtime, "svd", lambda m: pytest.fail("svd was called"))
+    with pytest.raises(ValueError, match="side = 'bogus'"):
+        comm_loss_gradients(tr, crandn(make_rng(110), (4, 3)), r=r, side="bogus")
+
+
 def test_split_forward_composes_nodes_and_link():
     system, link = _toy_system(110)
     x = crandn(make_rng(111), (3, 5))
@@ -206,6 +219,12 @@ def test_channel_drift_needs_rng_and_is_reproducible():
 def test_link_rejects_a_drift_factor_outside_the_unit_interval(rho):
     with pytest.raises(ValueError, match="rho"):
         _toy_system(125, rho=rho, evolve_rng=make_rng(123))
+
+
+@pytest.mark.parametrize("weight", [-1e-3, float("nan")])
+def test_link_rejects_a_negative_or_nan_comm_weight(weight):
+    with pytest.raises(ValueError, match=r"comm_weight = (-0\.001|nan) must be >= 0"):
+        _toy_system(125, comm_weight=weight)
 
 
 def test_frozen_combiner_keeps_its_value_under_the_comm_penalty():

@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -65,3 +66,25 @@ def test_relative_difference_handles_zeros_infinities_and_nans():
     assert rel(np.array([1.0]), np.array([np.nan])) == np.inf
     assert rel(np.array([1.0]), np.array([np.inf])) == np.inf
     assert rel(np.array([1.0 + 1.0j]), np.array([1.0 - 1.0j])) == pytest.approx(2.0 ** 0.5)
+
+
+@pytest.fixture
+def identity_runs(monkeypatch):
+    """The identity tool, loaded so that its BLAS-thread variables and its
+    sys.path entry are undone after the test."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    return _load("identity_runs")
+
+
+def test_conv_reference_run_is_byte_equal_on_a_rerun(tmp_path, identity_runs):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        losses = identity_runs.write_conv(out / "conv_split")
+    assert losses.shape == (5, 2) and np.all(np.isfinite(losses))
+    assert np.all(losses[:, 1] > 0.0)              # the mix.C penalty branch ran
+    names = identity_runs.conv_split_system().parameters()
+    files = {p.name for p in (a / "conv_split").iterdir()}
+    assert files == {f"{name}.npy" for name in names} | {"losses.npy"}
+    assert compare_runs.compare_dirs(a, b) == (len(files), [])

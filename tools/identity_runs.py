@@ -13,10 +13,14 @@ and sparse_3node combined with r = 3 (padded chunks).  It also runs
 ``regret_experiment`` for a one-chunk stream (the default config at 500
 steps) and a three-chunk one (1100 steps, dim 8, 3 seeds), and writes each
 result's arrays and scalar fields as ``.npy`` files into
-``OUT_DIR/regret_<steps>``.  A change that must not move a byte is checked
-by running this in the parent checkout and in the changed one, then
-``diff -r`` over the two directories.  Exits 1 unless every run ends ``ok``
-and no regret run diverges.
+``OUT_DIR/regret_<steps>``.  Last, it trains a two-node conv split system
+(conv node, noisy over-the-air conv link with the comm loss on, pooled
+dense head) for 5 Adam steps and writes each parameter and the per-step
+loss and comm loss as ``.npy`` files into ``OUT_DIR/conv_split``.  A change
+that must not move a byte is checked by running this in the parent checkout
+and in the changed one, then ``diff -r`` over the two directories.  Exits 1
+unless every run ends ``ok``, no regret run diverges and every conv loss is
+finite.
 """
 from __future__ import annotations
 
@@ -35,7 +39,12 @@ import dataclasses  # noqa: E402
 import numpy as np  # noqa: E402
 
 from airsplit.bench import preset, run_experiment  # noqa: E402
-from airsplit.runtime import RegretConfig, regret_experiment  # noqa: E402
+from airsplit.channel import NoiseModel, sample_channel  # noqa: E402
+from airsplit.linalg import crandn, make_rng  # noqa: E402
+from airsplit.nn import Adam, AvgPool2d, ComplexNet, Conv2d, Dense, Flatten  # noqa: E402
+from airsplit.oac import OacConvLayer, OacDesign  # noqa: E402
+from airsplit.runtime import (RegretConfig, SplitLink, SplitSystem,  # noqa: E402
+                              regret_experiment)
 
 
 def _short(name: str, **fields):
@@ -85,6 +94,36 @@ def write_regret(cfg: RegretConfig, out: Path):
     return res
 
 
+def conv_split_system() -> SplitSystem:
+    """Conv node -> noisy over-the-air conv link -> pooled dense head, on (B, 2, 4, 4)."""
+    rng = make_rng(0, 1)
+    channel = sample_channel(4, 4, 4, make_rng(0, 2))
+    layer = OacConvLayer(3, 4, 3, OacDesign("receiver", "separated"), 4, 4, 2, rng)
+    link = SplitLink(layer, channel, NoiseModel(snr_db=10.0), make_rng(0, 3),
+                     make_rng(0, 4), comm_weight=1e-2)
+    nodes = [ComplexNet([Conv2d(2, 3, 3, rng)]),
+             ComplexNet([AvgPool2d(), Flatten(), Dense(4, 3, rng)])]
+    return SplitSystem(nodes, [link])
+
+
+def write_conv(out: Path) -> np.ndarray:
+    """Train the conv split system for 5 Adam steps, one fresh batch of 6
+    per step, and save its parameters and (loss, comm loss) per step under
+    out; returns the (5, 2) losses."""
+    system, opt, rng = conv_split_system(), Adam(lr=0.01), make_rng(0, 5)
+    losses = []
+    for _ in range(5):
+        x = crandn(rng, (6, 2, 4, 4))
+        metrics = system.train_batch(x, rng.integers(0, 3, 6), opt)
+        losses.append((metrics.loss, metrics.comm_loss))
+    losses = np.array(losses)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, arr in system.parameters().items():
+        np.save(out / f"{name}.npy", arr)
+    np.save(out / "losses.npy", losses)
+    return losses
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -102,6 +141,10 @@ def main(argv=None) -> int:
         print(f"{name}: slopes={res.slopes.tolist()} diverged={res.diverged}")
         if res.diverged:
             bad.append(name)
+    losses = write_conv(out / "conv_split")
+    print(f"conv_split: losses={losses.tolist()}")
+    if not np.all(np.isfinite(losses)):
+        bad.append("conv_split")
     if bad:
         print(f"not ok: {', '.join(bad)}", file=sys.stderr)
         return 1
