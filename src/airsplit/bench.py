@@ -129,7 +129,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(0.0 <= cfg.rho <= 1.0, "rho", "must lie in [0, 1]")
     _require(cfg.baseline in ("proposed", "ideal", "centralized"), "baseline",
              "must be 'proposed', 'ideal' or 'centralized'")
-    _require(cfg.comm_weight >= 0.0, "comm_weight", "must be >= 0")
+    _require(math.isfinite(cfg.comm_weight) and cfg.comm_weight >= 0.0, "comm_weight",
+             "must be >= 0 and finite")
     _require(cfg.backward_rescale in ("auto", "on", "off"), "backward_rescale",
              "must be 'auto', 'on' or 'off'")
     d, t = cfg.data, cfg.train

@@ -187,38 +187,56 @@ NOISELESS = NoiseModel(sigma2=0.0)
 
 
 def _received(matrix: np.ndarray, x: np.ndarray, sigma2: float,
-              rng: np.random.Generator | None) -> np.ndarray:
+              rng: np.random.Generator | None, out: np.ndarray | None) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim not in (2, 3) or x.shape[-2] != matrix.shape[1]:
         raise ValueError(f"expected ([K,] {matrix.shape[1]}, batch) input, got {x.shape}")
-    y = matrix @ x
+    if sigma2 > 0.0 and rng is None:
+        raise ValueError("rng is required when noise power is positive")
+    shape = x.shape[:-2] + (matrix.shape[0], x.shape[-1])
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    elif (out.dtype != np.complex128 or out.shape != shape
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous complex128 array of shape "
+                         f"{shape}, got {out.dtype} {out.shape}")
+    # Use by use through one (n_rx, B) scratch, so out may be x itself.
+    scratch = np.empty(shape[-2:], dtype=np.complex128)
+    for src, dst in zip(x.reshape((-1,) + x.shape[-2:]), out.reshape((-1,) + shape[-2:])):
+        np.matmul(matrix, src, out=scratch)
+        dst[...] = scratch
     if sigma2 > 0.0:
-        if rng is None:
-            raise ValueError("rng is required when noise power is positive")
-        add_crandn(rng, y, sigma2)
-    return y
+        add_crandn(rng, out, sigma2)
+    return out
 
 
 def transmit_forward(state: ChannelState, x: np.ndarray, noise: NoiseModel,
-                     rng: np.random.Generator | None = None) -> np.ndarray:
+                     rng: np.random.Generator | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Send x, (n_tx, B) or a (K, n_tx, B) stack of uses, through the forward channel.
 
     Adds white circular noise per receive antenna, independent across antennas,
     columns and uses.  Draw order (fixed, part of the replay contract): use by
     use, one crandn (n_rx, B) draw each, real parts before imaginary ones.
+
+    The result is written into out, a C-contiguous complex128 array of the
+    received shape, and returned; out=None allocates it.  Uses are received
+    one at a time through an (n_rx, B) scratch, so with n_tx == n_rx out may
+    be x itself, which the caller then gives up.
     """
-    return _received(state.matrix, x, noise.sigma2_per_antenna(state), rng)
+    return _received(state.matrix, x, noise.sigma2_per_antenna(state), rng, out)
 
 
 def transmit_backward(state: ChannelState, x: np.ndarray, noise: NoiseModel,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
+                      rng: np.random.Generator | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Send x, (n_rx, B) or (K, n_rx, B), back along the same paths, with
-    noise drawn as in transmit_forward.
+    noise drawn and out handled as in transmit_forward.
 
     The reverse matrix is the transpose of the forward one (same paths walked
     the other way), never the conjugate transpose.
     """
-    return _received(state.matrix.T, x, noise.sigma2_per_antenna(state), rng)
+    return _received(state.matrix.T, x, noise.sigma2_per_antenna(state), rng, out)
 
 
 def channel_snr(state: ChannelState, p_n: float) -> float:

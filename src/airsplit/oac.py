@@ -31,7 +31,9 @@ only in how its per-use operand is formed and its result collapsed:
 
 Per-use quantities travel as (K, ., B) stacks, one slice per channel use.
 Between the two ends, each direction is one power_normalize and one
-transmit call over the whole stack.
+transmit call over the whole stack, both in place: a direction holds one
+antenna stack (two when n_tx != n_rx, where the received stack has another
+shape).
 """
 from __future__ import annotations
 
@@ -108,18 +110,26 @@ def feasible(k: int, r: int, n_in: int, n_out: int) -> bool:
     return k * r >= min(n_in, n_out)
 
 
-def power_normalize(block: np.ndarray):
+def power_normalize(block: np.ndarray, out: np.ndarray | None = None):
     """Scale an (n, B) block, or each of a (K, n, B) stack, to unit average power.
 
     Returns (scaled, a) with a = sqrt(mean over columns of ||column||^2) per
     block, a float or a (K,) array, so the scaled columns average power one.
-    An all-zero block keeps a = 1 and its values.
+    An all-zero block keeps a = 1 and its values.  scaled is written into
+    out, a complex128 array of block's shape that may be block itself (the
+    caller then gives up its unscaled values); out=None scales a copy.
     """
-    a = np.sqrt(np.mean(np.sum(np.abs(block) ** 2, axis=-2), axis=-1))
+    power = np.abs(block)
+    np.square(power, out=power)
+    a = np.sqrt(np.mean(np.sum(power, axis=-2), axis=-1))
+    del power
     live = a != 0.0
     a = np.where(live, a, 1.0)
-    scaled = np.divide(block, a[..., None, None], out=np.array(block, dtype=np.complex128),
-                       where=live[..., None, None])
+    if out is None:
+        out = np.array(block, dtype=np.complex128)
+    elif out is not block:
+        np.copyto(out, block)
+    scaled = np.divide(block, a[..., None, None], out=out, where=live[..., None, None])
     return scaled, (a if a.ndim else float(a))
 
 
@@ -351,9 +361,13 @@ class OacLayer:
                              f"got {x.shape}")
         if channel.n_tx != self.n_tx or channel.n_rx != self.n_rx:
             raise ValueError("channel array sizes do not match the layer")
+        # This call owns the (K, n_tx, B) stack sent: it is scaled in place
+        # and, on a square array, received into in place.
         u, sent = self._tx(x)
-        sent, a = power_normalize(sent)
-        received = transmit_forward(channel, sent, noise, rng)
+        sent, a = power_normalize(sent, out=sent)
+        square = self.n_tx == self.n_rx
+        received = transmit_forward(channel, sent, noise, rng, out=sent if square else None)
+        del sent
         y, z = self._rx(received, a if self.forward_rescale else np.ones(self.k_total))
         if "b" in self.params:
             y = y + self.params["b"][:, None]
@@ -379,12 +393,12 @@ class OacLayer:
         back, grads = self._rx_adjoint(g_y, t.a if self.forward_rescale else ones, t)
         if "b" in self.params:
             grads["b"] = g_y.sum(axis=1)
-        # This call owns the (K, ., B) stacks back, sent and stream_grads:
-        # conjugate and scale them in place, and drop back and sent once sent.
-        sent, a_tilde = power_normalize(np.conj(back, out=back))
+        # This call owns the (K, ., B) stacks back and stream_grads: back is
+        # conjugated, scaled and, on a square array, received into in place.
+        back, a_tilde = power_normalize(np.conj(back, out=back), out=back)
+        square = self.n_tx == self.n_rx
+        received = transmit_backward(channel, back, noise, rng, out=back if square else None)
         del back
-        received = transmit_backward(channel, sent, noise, rng)
-        del sent
         undo = a_tilde if self.backward_rescale else ones
         stream_grads = np.conj(received)
         np.multiply(undo[:, None, None], stream_grads, out=stream_grads)

@@ -5,10 +5,10 @@ network, ...  Each training batch runs the whole forward chain, computes the
 task loss at the last node, and walks the chain backward, with every link
 transporting its upstream gradient through the reverse channel direction.
 
-Both ends of a link maintain an exponential moving average of the covariance
-of what they receive.  Its weak eigenvectors span the subspace the channel
-does not deliver; an optional auxiliary loss pushes combiners (and the
-activations a node sends) out of that subspace.
+With the auxiliary comm loss on, both ends of a link maintain an exponential
+moving average of the covariance of what they receive.  Its weak
+eigenvectors span the subspace the channel does not deliver; the loss
+pushes combiners (and the activations a node sends) out of that subspace.
 """
 from __future__ import annotations
 
@@ -62,10 +62,6 @@ class CovarianceTracker:
         self.matrix = 0.5 * (m + m.conj().T)
         self.count += 1
 
-    def reset(self) -> None:
-        self.matrix[:] = 0.0
-        self.count = 0
-
 
 def comm_loss_gradients(tracker: CovarianceTracker, target: np.ndarray, r: int,
                         side: str = "combiner", weight: float = 1.0):
@@ -110,10 +106,12 @@ class SplitLink:
 
     rho in [0, 1]; rho > 0 makes the channel drift between batches and needs
     evolve_rng; evolve() is called once per training batch by the system.
-    A training forward, and every backward, updates its direction's tracker
-    once from the received (K, ., B) stack, the uses side by side; an
-    evaluation forward leaves it alone.  comm_weight > 0 adds the weak-subspace
-    penalty of that weight to every backward; 0 turns it off.  A frozen
+    comm_weight, >= 0 and finite, weights the weak-subspace penalty that
+    every backward adds; 0 turns it off.  The trackers exist only for that
+    penalty: with comm_weight > 0, a training forward, and every backward,
+    updates its direction's tracker once from the received (K, ., B) stack,
+    the uses side by side, and an evaluation forward leaves it alone; with
+    comm_weight = 0 no pass updates them, and they stay empty.  A frozen
     combiner gets no penalty gradient, but its penalty is still reported.
     """
 
@@ -124,8 +122,8 @@ class SplitLink:
                  evolve_rng: np.random.Generator | None = None):
         if not 0.0 <= rho <= 1.0:
             raise ValueError(f"rho = {rho} must lie in [0, 1]")
-        if not comm_weight >= 0.0:
-            raise ValueError(f"comm_weight = {comm_weight} must be >= 0")
+        if not (math.isfinite(comm_weight) and comm_weight >= 0.0):
+            raise ValueError(f"comm_weight = {comm_weight} must be >= 0 and finite")
         if rho > 0.0 and evolve_rng is None:
             raise ValueError("rho > 0 needs an evolve_rng")
         self.layer = layer
@@ -147,16 +145,16 @@ class SplitLink:
 
     def forward(self, x, train: bool = True):
         y, transcript = self.layer.forward(x, self.channel, self.noise, self.rng_f)
-        if train:
+        if train and self.comm_weight > 0.0:
             inner = transcript["mix"] if isinstance(transcript, dict) else transcript
             self.fwd_cov.update(np.hstack(inner.received))    # (n_rx, K*B)
         return y, transcript
 
     def backward(self, transcript, g_y):
         res = self.layer.backward(transcript, g_y, self.channel, self.noise, self.rng_b)
-        self.bwd_cov.update(np.hstack(res.received))          # (n_tx, K*B)
         self.comm_loss_value = 0.0
         if self.comm_weight > 0.0:
+            self.bwd_cov.update(np.hstack(res.received))      # (n_tx, K*B)
             self._inject_comm(transcript, res)
         return res
 

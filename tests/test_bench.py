@@ -76,6 +76,15 @@ def test_configs_the_math_cannot_honour_fail_by_name(field, values):
         config_from_dict(json.loads(json.dumps(record)))
 
 
+def test_an_infinite_comm_weight_fails_by_name(tmp_path):
+    # It used to pass validation, and the run ended diverged@1.
+    cfg = dataclasses.replace(preset("sparse_3node"), comm_weight=INF)
+    with pytest.raises(ConfigError, match=r"^comm_weight: must be >= 0 and finite"):
+        validate_config(cfg)
+    with pytest.raises(ConfigError, match=r"^comm_weight: "):
+        run_experiment(cfg, tmp_path)
+
+
 def test_config_to_dict_writes_non_integral_entries_as_they_are():
     cfg = dataclasses.replace(ExperimentConfig(), r_values=(2.5, np.int64(4)),
                               seeds=(0.5, 1))

@@ -81,23 +81,37 @@ def test_transmission_shape_checks():
         transmit_forward(state, np.zeros((2, 3, 4, 1), dtype=complex), NOISELESS)
 
 
-# (K, n, B); in the last case each (n, B) noise block outgrows crandn's scratch
-@pytest.mark.parametrize("k, n, b", [(1, 1, 1), (3, 5, 7), (4, 16, 64), (8, 64, 64),
-                                     (2, 64, 1100)])
-def test_a_stacked_transmission_equals_one_call_per_use(k, n, b):
-    state = sample_channel(n, n, 3, make_rng(20, n))
-    x = crandn(make_rng(21, k, n, b), (k, n, b))
+# (K, n_tx, n_rx, B); in the (2, 64, 64, 1100) case each (n, B) noise block
+# outgrows crandn's scratch, and the last two arrays are not square
+@pytest.mark.parametrize("k, n_tx, n_rx, b", [
+    (1, 1, 1, 1), (3, 5, 5, 7), (4, 16, 16, 64), (8, 64, 64, 64), (2, 64, 64, 1100),
+    (3, 5, 7, 4), (2, 12, 8, 9),
+])
+def test_a_stacked_transmission_equals_one_call_per_use(k, n_tx, n_rx, b):
+    state = sample_channel(n_tx, n_rx, 3, make_rng(20, n_tx))
     noise = NoiseModel(sigma2=0.3)
     for send, h in ((transmit_forward, state.matrix), (transmit_backward, state.matrix.T)):
-        rngs = [make_rng(22), make_rng(22), make_rng(22)]
+        n_out, n_in = h.shape
+        x = crandn(make_rng(21, k, n_in, b), (k, n_in, b))
+        rngs = [make_rng(22) for _ in range(4)]
         stacked = send(state, x, noise, rngs[0])
         per_use = np.stack([send(state, x[i], noise, rngs[1]) for i in range(k)])
         # the replay contract: H x_k plus one crandn draw per use, in use order
-        by_hand = np.stack([h @ x[i] + crandn(rngs[2], (n, b), var=0.3) for i in range(k)])
-        assert stacked.shape == (k, n, b)
-        assert stacked.tobytes() == per_use.tobytes() == by_hand.tobytes()
+        by_hand = np.stack([h @ x[i] + crandn(rngs[2], (n_out, b), var=0.3) for i in range(k)])
+        # into out: x itself on a square array, a given array otherwise
+        if n_in == n_out:
+            out = x.copy()
+            into = send(state, out, noise, rngs[3], out=out)
+        else:
+            with pytest.raises(ValueError, match="out must be"):
+                send(state, x, noise, rngs[3], out=x)
+            out = np.full((k, n_out, b), np.nan, dtype=np.complex128)
+            into = send(state, x, noise, rngs[3], out=out)
+        assert stacked.shape == (k, n_out, b) and into is out
+        assert (stacked.tobytes() == per_use.tobytes() == by_hand.tobytes()
+                == into.tobytes())
         assert (rngs[0].bit_generator.state == rngs[1].bit_generator.state
-                == rngs[2].bit_generator.state)
+                == rngs[2].bit_generator.state == rngs[3].bit_generator.state)
 
 
 def test_noisy_transmission_requires_rng_and_hits_target_variance():

@@ -59,6 +59,16 @@ def test_stacked_power_normalize_equals_one_call_per_use():
     for k in range(3):
         one, a_one = power_normalize(stack[k])
         assert a_one == a[k] and one.tobytes() == scaled[k].tobytes()
+    # into out: the stack itself, one (n, B) block of it, or another array
+    alias = stack.copy()
+    into, a_into = power_normalize(alias, out=alias)
+    assert into is alias and into.tobytes() == scaled.tobytes() and a_into.tobytes() == a.tobytes()
+    block = stack[2].copy()
+    into, a_into = power_normalize(block, out=block)
+    assert into is block and into.tobytes() == scaled[2].tobytes() and a_into == a[2]
+    other = np.full(stack.shape, np.nan, dtype=np.complex128)
+    into, a_into = power_normalize(stack, out=other)
+    assert into is other and into.tobytes() == scaled.tobytes() and a_into.tobytes() == a.tobytes()
 
 
 def test_feasible_boundary():
