@@ -10,6 +10,11 @@ with steer(x, n) = (1, e^{jx}, ..., e^{j(n-1)x}).  The backward direction
 reuses the same physical paths, which makes the backward matrix the plain
 transpose of H, not its conjugate transpose.  That reciprocity is what lets
 gradients ride the channel without any channel estimation.
+
+With P paths, H = L R^T factors into L = conj(steer(arrivals)) diag(gains),
+(n_rx, P), and R = steer(departures), (n_tx, P), so it has rank at most P.
+Transmission applies the two factors in turn, R^T then L forward and L^T
+then R backward, instead of the dense H.
 """
 from __future__ import annotations
 
@@ -86,18 +91,29 @@ def build_matrix(paths: PathSet, n_tx: int, n_rx: int) -> np.ndarray:
     The receive-side steering vector enters conjugated, the transmit-side one
     plainly, so entry (m, q) is sum_n a_n e^{-j m theta_n} e^{j q phi_n}.
     """
-    rx = np.exp(-1j * np.outer(np.arange(n_rx), paths.arrivals))  # (n_rx, P)
-    tx = np.exp(1j * np.outer(np.arange(n_tx), paths.departures))  # (n_tx, P)
-    return (rx * paths.gains) @ tx.T
+    left, right = _factors(paths, n_tx, n_rx)
+    return left @ right.T
+
+
+def _factors(paths: PathSet, n_tx: int, n_rx: int):
+    """(L, R), (n_rx, P) and (n_tx, P), with H = L @ R.T: the receive
+    steering vectors times the gains, and the transmit steering vectors."""
+    rx = np.exp(-1j * np.outer(np.arange(n_rx), paths.arrivals))
+    tx = np.exp(1j * np.outer(np.arange(n_tx), paths.departures))
+    return rx * paths.gains, tx
 
 
 @dataclass(frozen=True)
 class ChannelState:
-    """A sampled channel: array sizes, paths, and the cached matrix."""
+    """A sampled channel: array sizes, paths, the path factors left (n_rx, P)
+    and right (n_tx, P), the cached matrix left @ right.T (equal to
+    build_matrix) and its spectral norm."""
 
     n_tx: int
     n_rx: int
     paths: PathSet
+    left: np.ndarray
+    right: np.ndarray
     matrix: np.ndarray
     spectral: float
 
@@ -105,8 +121,10 @@ class ChannelState:
     def from_paths(cls, n_tx: int, n_rx: int, paths: PathSet) -> "ChannelState":
         if n_tx < 1 or n_rx < 1:
             raise ValueError("antenna counts must be positive")
-        h = build_matrix(paths, n_tx, n_rx)
-        return cls(n_tx=n_tx, n_rx=n_rx, paths=paths, matrix=h, spectral=spectral_norm(h))
+        left, right = _factors(paths, n_tx, n_rx)
+        h = left @ right.T
+        return cls(n_tx=n_tx, n_rx=n_rx, paths=paths, left=left, right=right, matrix=h,
+                   spectral=spectral_norm(h))
 
 
 def sample_channel(n_tx: int, n_rx: int, n_paths: int, rng: np.random.Generator) -> ChannelState:
@@ -186,25 +204,27 @@ class NoiseModel:
 NOISELESS = NoiseModel(sigma2=0.0)
 
 
-def _received(matrix: np.ndarray, x: np.ndarray, sigma2: float,
+def _received(first: np.ndarray, second: np.ndarray, x: np.ndarray, sigma2: float,
               rng: np.random.Generator | None, out: np.ndarray | None) -> np.ndarray:
+    """second @ (first @ x_k) plus noise for each use x_k of x."""
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim not in (2, 3) or x.shape[-2] != matrix.shape[1]:
-        raise ValueError(f"expected ([K,] {matrix.shape[1]}, batch) input, got {x.shape}")
+    if x.ndim not in (2, 3) or x.shape[-2] != first.shape[1]:
+        raise ValueError(f"expected ([K,] {first.shape[1]}, batch) input, got {x.shape}")
     if sigma2 > 0.0 and rng is None:
         raise ValueError("rng is required when noise power is positive")
-    shape = x.shape[:-2] + (matrix.shape[0], x.shape[-1])
+    shape = x.shape[:-2] + (second.shape[0], x.shape[-1])
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
     elif (out.dtype != np.complex128 or out.shape != shape
           or not out.flags.c_contiguous):
         raise ValueError(f"out must be a C-contiguous complex128 array of shape "
                          f"{shape}, got {out.dtype} {out.shape}")
-    # Use by use through one (n_rx, B) scratch, so out may be x itself.
-    scratch = np.empty(shape[-2:], dtype=np.complex128)
+    # Use by use through one (P, B) path scratch, read whole before dst is
+    # written, so out may be x itself.
+    paths = np.empty((first.shape[0], x.shape[-1]), dtype=np.complex128)
     for src, dst in zip(x.reshape((-1,) + x.shape[-2:]), out.reshape((-1,) + shape[-2:])):
-        np.matmul(matrix, src, out=scratch)
-        dst[...] = scratch
+        np.matmul(first, src, out=paths)
+        np.matmul(second, paths, out=dst)
     if sigma2 > 0.0:
         add_crandn(rng, out, sigma2)
     return out
@@ -215,16 +235,18 @@ def transmit_forward(state: ChannelState, x: np.ndarray, noise: NoiseModel,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Send x, (n_tx, B) or a (K, n_tx, B) stack of uses, through the forward channel.
 
-    Adds white circular noise per receive antenna, independent across antennas,
-    columns and uses.  Draw order (fixed, part of the replay contract): use by
-    use, one crandn (n_rx, B) draw each, real parts before imaginary ones.
+    Each use x_k is received as left @ (right.T @ x_k), the path factors of
+    H in that order, plus white circular noise per receive antenna,
+    independent across antennas, columns and uses.  Factor and draw order
+    (fixed, part of the replay contract): use by use, the two products and
+    then one crandn (n_rx, B) draw each, real parts before imaginary ones.
 
     The result is written into out, a C-contiguous complex128 array of the
     received shape, and returned; out=None allocates it.  Uses are received
-    one at a time through an (n_rx, B) scratch, so with n_tx == n_rx out may
-    be x itself, which the caller then gives up.
+    one at a time through a (P, B) path scratch, so with n_tx == n_rx out
+    may be x itself, which the caller then gives up.
     """
-    return _received(state.matrix, x, noise.sigma2_per_antenna(state), rng, out)
+    return _received(state.right.T, state.left, x, noise.sigma2_per_antenna(state), rng, out)
 
 
 def transmit_backward(state: ChannelState, x: np.ndarray, noise: NoiseModel,
@@ -234,9 +256,10 @@ def transmit_backward(state: ChannelState, x: np.ndarray, noise: NoiseModel,
     noise drawn and out handled as in transmit_forward.
 
     The reverse matrix is the transpose of the forward one (same paths walked
-    the other way), never the conjugate transpose.
+    the other way), never the conjugate transpose: each use is received as
+    right @ (left.T @ x_k), the factors of H^T in that order.
     """
-    return _received(state.matrix.T, x, noise.sigma2_per_antenna(state), rng, out)
+    return _received(state.left.T, state.right, x, noise.sigma2_per_antenna(state), rng, out)
 
 
 def channel_snr(state: ChannelState, p_n: float) -> float:

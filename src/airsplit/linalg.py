@@ -132,18 +132,21 @@ def add_crandn(rng: np.random.Generator, out: np.ndarray, var: float) -> None:
         out[...] = work
 
 
-def svd(m: np.ndarray):
+def svd(m: np.ndarray, hermitian: bool = False):
     """Economy SVD with a fixed column-phase convention.
 
     Returns (u, s, v) with m ~= u @ diag(s) @ v.conj().T, singular values
     sorted descending.  The first significant entry of every column of u is
     rotated onto the positive real axis (the matching v column gets the
     conjugate rotation), so repeated runs and different platforms agree on
-    the otherwise arbitrary per-column phases.
+    the otherwise arbitrary per-column phases.  hermitian=True, for a square
+    Hermitian m only, factors it by numpy's eigendecomposition path: s holds
+    the eigenvalues' magnitudes and v is u with each column times the sign
+    of its eigenvalue.
     """
     m = np.asarray(m, dtype=np.complex128)
     try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        u, s, vh = np.linalg.svd(m, full_matrices=False, hermitian=hermitian)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD did not converge for shape {m.shape}") from exc
     u = np.ascontiguousarray(u)

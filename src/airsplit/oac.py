@@ -116,21 +116,24 @@ def power_normalize(block: np.ndarray, out: np.ndarray | None = None):
     Returns (scaled, a) with a = sqrt(mean over columns of ||column||^2) per
     block, a float or a (K,) array, so the scaled columns average power one.
     An all-zero block keeps a = 1 and its values.  scaled is written into
-    out, a complex128 array of block's shape that may be block itself (the
-    caller then gives up its unscaled values); out=None scales a copy.
+    out, a complex128 array of block's shape with a contiguous last axis
+    that may be block itself (the caller then gives up its unscaled values);
+    out=None scales a copy.  The bytes are those of block / a: numpy divides
+    a complex value by a real a as (re + 0 * im) * (1 / a), and scaled is
+    out's float view times 1 / a.
     """
     power = np.abs(block)
     np.square(power, out=power)
     a = np.sqrt(np.mean(np.sum(power, axis=-2), axis=-1))
     del power
-    live = a != 0.0
-    a = np.where(live, a, 1.0)
+    a = np.where(a != 0.0, a, 1.0)
     if out is None:
         out = np.array(block, dtype=np.complex128)
     elif out is not block:
         np.copyto(out, block)
-    scaled = np.divide(block, a[..., None, None], out=out, where=live[..., None, None])
-    return scaled, (a if a.ndim else float(a))
+    floats = out.view(np.float64)
+    floats *= (1.0 / a)[..., None, None]
+    return out, (a if a.ndim else float(a))
 
 
 def _unchunk(z: np.ndarray, rows: int) -> np.ndarray:
@@ -401,8 +404,11 @@ class OacLayer:
         del back
         undo = a_tilde if self.backward_rescale else ones
         stream_grads = np.conj(received)
-        np.multiply(undo[:, None, None], stream_grads, out=stream_grads)
-        np.divide(stream_grads, t.a[:, None, None], out=stream_grads)
+        # Real per-use scales act on the float view, with the bytes of
+        # undo * stream_grads / t.a (see power_normalize).
+        floats = stream_grads.view(np.float64)
+        floats *= undo[:, None, None]
+        floats *= (1.0 / t.a)[:, None, None]
         _, g_x, tx_grads = self._tx_adjoint(t, stream_grads)
         grads.update(tx_grads)
         for name in self.frozen:

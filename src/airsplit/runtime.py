@@ -68,12 +68,13 @@ def comm_loss_gradients(tracker: CovarianceTracker, target: np.ndarray, r: int,
     """Gradient pushing target out of the tracker's weak subspace.
 
     The weak subspace is spanned by the trailing (dim - r) eigenvectors of
-    the tracked covariance.  For side 'combiner' the penalty is
-    weight * ||U_w^H target||_F^2 and the gradient 2 * weight * U_w U_w^H
-    target; side 'signal' scales both by 1 / (2 * batch^2) so the figure does
-    not grow with batch size.  A stacked (K, dim, .) target is K per-use
-    matrices sharing one projector; its penalty is the per-use penalties
-    added in use order.  Returns (gradient, penalty value); both are zero
+    the tracked covariance, which is Hermitian, so they are taken from
+    svd(..., hermitian=True), an eigendecomposition.  For side 'combiner'
+    the penalty is weight * ||U_w^H target||_F^2 and the gradient
+    2 * weight * U_w U_w^H target; side 'signal' scales both by
+    1 / (2 * batch^2) so the figure does not grow with batch size.  A
+    stacked (K, dim, .) target is K per-use matrices sharing one projector;
+    its penalty is the per-use penalties added in use order.  Returns (gradient, penalty value); both are zero
     when r covers the full dimension or nothing was tracked yet.  A tracked
     covariance that has overflowed to non-finite entries gives a zero
     gradient and a nan penalty, which the caller reports as divergence.
@@ -92,7 +93,7 @@ def comm_loss_gradients(tracker: CovarianceTracker, target: np.ndarray, r: int,
         return np.zeros_like(target), 0.0
     if not np.all(np.isfinite(tracker.matrix)):
         return np.zeros_like(target), math.nan
-    u, _, _ = svd(tracker.matrix)
+    u, _, _ = svd(tracker.matrix, hermitian=True)
     u_w = u[:, r:]
     coeff = u_w.conj().T @ target
     loss = 0.0

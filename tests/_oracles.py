@@ -21,6 +21,16 @@ def channel_matrix(n_rx, n_tx, arrivals, departures, gains):
     return h
 
 
+# -- comm loss ----------------------------------------------------------------
+
+def weak_projector(m, r):
+    """Orthogonal projector onto the span of the dim - r eigenvectors of the
+    Hermitian m with the smallest eigenvalues, from np.linalg.eigh."""
+    _, q = np.linalg.eigh(m)                              # eigenvalues ascending
+    weak = q[:, :m.shape[0] - r]
+    return weak @ weak.conj().T
+
+
 # -- finite differences -------------------------------------------------------
 
 def fd_gradient(f, z, eps=1e-6):

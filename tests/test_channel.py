@@ -30,6 +30,17 @@ def test_build_matrix_matches_entrywise_sum():
         np.testing.assert_allclose(state.matrix, want, atol=1e-10)
 
 
+def test_channel_state_keeps_the_path_factors_of_its_matrix():
+    state = sample_channel(5, 4, 3, make_rng(10, 9))
+    for s in (state, evolve_channel(state, 0.3, make_rng(10, 10)),
+              channel_from_dict(channel_to_dict(state))):
+        assert s.left.shape == (4, 3) and s.right.shape == (5, 3)
+        assert (s.left @ s.right.T).tobytes() == s.matrix.tobytes()
+        assert build_matrix(s.paths, 5, 4).tobytes() == s.matrix.tobytes()
+        np.testing.assert_allclose(s.left[0], s.paths.gains, rtol=1e-15)
+        np.testing.assert_array_equal(s.right[0], 1.0)
+
+
 def test_rank_is_limited_by_path_count():
     for n_paths in (1, 2, 3):
         state = sample_channel(8, 8, n_paths, make_rng(11, n_paths))
@@ -90,14 +101,20 @@ def test_transmission_shape_checks():
 def test_a_stacked_transmission_equals_one_call_per_use(k, n_tx, n_rx, b):
     state = sample_channel(n_tx, n_rx, 3, make_rng(20, n_tx))
     noise = NoiseModel(sigma2=0.3)
-    for send, h in ((transmit_forward, state.matrix), (transmit_backward, state.matrix.T)):
+    for send, (first, second), h in (
+            (transmit_forward, (state.right.T, state.left), state.matrix),
+            (transmit_backward, (state.left.T, state.right), state.matrix.T)):
         n_out, n_in = h.shape
         x = crandn(make_rng(21, k, n_in, b), (k, n_in, b))
         rngs = [make_rng(22) for _ in range(4)]
         stacked = send(state, x, noise, rngs[0])
         per_use = np.stack([send(state, x[i], noise, rngs[1]) for i in range(k)])
-        # the replay contract: H x_k plus one crandn draw per use, in use order
-        by_hand = np.stack([h @ x[i] + crandn(rngs[2], (n_out, b), var=0.3) for i in range(k)])
+        # the replay contract: the path factors applied to x_k in turn, plus
+        # one crandn draw per use, in use order
+        noise_draws = np.stack([crandn(rngs[2], (n_out, b), var=0.3) for _ in range(k)])
+        by_hand = np.stack([second @ (first @ x[i]) for i in range(k)]) + noise_draws
+        hx = h @ x
+        assert np.linalg.norm(stacked - noise_draws - hx) <= 1e-12 * np.linalg.norm(hx)
         # into out: x itself on a square array, a given array otherwise
         if n_in == n_out:
             out = x.copy()

@@ -130,12 +130,32 @@ def test_svd_phase_skips_zero_columns_and_anchors_past_roundoff(monkeypatch):
     u = np.array([[1e-9j, 0.0], [0.6j, 0.0], [-0.8, 0.0]], dtype=np.complex128)
     vh = np.array([[1j, 0.0], [0.0, 1.0]], dtype=np.complex128)
     monkeypatch.setattr(np.linalg, "svd",
-                        lambda m, full_matrices: (u.copy(), np.array([2.0, 0.0]), vh))
+                        lambda m, full_matrices, hermitian: (u.copy(), np.array([2.0, 0.0]), vh))
     uu, _, v = svd(np.zeros((3, 2)))
     np.testing.assert_array_equal(uu[:, 1], 0.0)
     np.testing.assert_array_equal(v[:, 1], vh.conj().T[:, 1])
     np.testing.assert_allclose(uu[:, 0], [1e-9, 0.6, 0.8j], atol=1e-15)
     np.testing.assert_allclose(v[:, 0], [-1.0, 0.0], atol=1e-15)
+
+
+# (dim, columns): a full-rank and a rank-3 Hermitian PSD matrix
+@pytest.mark.parametrize("dim, cols", [(6, 40), (8, 3)])
+def test_hermitian_svd_of_a_psd_matrix_matches_the_general_one(dim, cols):
+    a = crandn(make_rng(12, dim, cols), (dim, cols))
+    m = a @ a.conj().T / cols
+    m = 0.5 * (m + m.conj().T)
+    u, s, v = svd(m, hermitian=True)
+    _, s_general, _ = svd(m)
+    assert u.shape == v.shape == (dim, dim)
+    np.testing.assert_allclose((u * s) @ v.conj().T, m, atol=1e-12)
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(dim), atol=1e-12)
+    np.testing.assert_allclose(s, s_general, rtol=0, atol=1e-12 * s_general[0])
+    assert np.all(s[:-1] >= s[1:]) and np.all(s >= 0)
+    if cols >= dim:                      # every eigenvalue positive: v is u
+        np.testing.assert_array_equal(v, u)
+    for j in range(dim):
+        anchor = int(np.argmax(np.abs(u[:, j]) > 1e-6 * np.abs(u[:, j]).max()))
+        assert abs(u[anchor, j].imag) < 1e-12 and u[anchor, j].real > 0
 
 
 def test_pinv_satisfies_the_four_identities():

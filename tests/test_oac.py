@@ -71,6 +71,14 @@ def test_stacked_power_normalize_equals_one_call_per_use():
     assert into is other and into.tobytes() == scaled.tobytes() and a_into.tobytes() == a.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(3, 4, 5), (8, 64, 64), (16, 9)])
+def test_power_normalize_is_byte_equal_to_dividing_by_the_scales(shape):
+    block = crandn(make_rng(71, *shape), shape, var=5.0)
+    scaled, a = power_normalize(block)
+    want = np.divide(block, np.asarray(a)[..., None, None])
+    assert scaled.tobytes() == want.tobytes()
+
+
 def test_feasible_boundary():
     assert feasible(2, 3, 6, 8)          # 6 >= min
     assert feasible(1, 5, 5, 9)

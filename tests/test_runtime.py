@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import _oracles as oracles
 from airsplit import runtime
 from airsplit.channel import NOISELESS, NoiseModel, sample_channel
 from airsplit.linalg import crandn, make_rng
@@ -77,6 +78,21 @@ def test_comm_loss_points_out_of_the_weak_subspace():
     g1, val1 = comm_loss_gradients(tr, e1, r=2, weight=0.5)
     np.testing.assert_allclose(g1, 0.0, atol=1e-10)
     assert val1 < 1e-12
+
+
+@pytest.mark.parametrize("side", ["combiner", "signal"])
+@pytest.mark.parametrize("shape", [(6, 5), (3, 6, 5)])
+def test_comm_loss_matches_the_weak_projector_oracle(side, shape):
+    tr = CovarianceTracker(6, alpha=0.5)
+    for i in range(3):
+        tr.update(crandn(make_rng(108, i), (6, 20)))
+    target = crandn(make_rng(109), shape)
+    g, val = comm_loss_gradients(tr, target, r=2, side=side, weight=0.3)
+    proj = oracles.weak_projector(tr.matrix, 2)
+    scale = 0.3 if side == "combiner" else 0.3 / (2 * 5 * 5)
+    want = 2 * scale * (proj @ target)
+    np.testing.assert_allclose(g, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    assert val == pytest.approx(scale * np.vdot(target, proj @ target).real, rel=1e-12)
 
 
 def test_comm_loss_signal_side_scaling():

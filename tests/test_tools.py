@@ -59,6 +59,25 @@ def test_any_other_difference_fails(tmp_path, capsys, change):
     assert "FAIL" in capsys.readouterr().out
 
 
+_CSV = "phase,step,loss,status\ntrain,10,{loss},{status}\n"
+
+
+@pytest.mark.parametrize("loss, status, rtol, code", [
+    ("1.0000000001", "ok", "1e-9", 0),          # 1e-10 relative: inside
+    ("1.00000001", "ok", "1e-9", 1),            # 1e-8 relative: outside
+    ("1.0", "diverged@10", "1", 1),             # a status cell must be equal
+])
+def test_a_differing_csv_file_is_judged_cell_by_cell(tmp_path, capsys, loss, status,
+                                                     rtol, code):
+    a = _run_dir(tmp_path / "a", csv=_CSV.format(loss="1.0", status="ok"))
+    b = _run_dir(tmp_path / "b", csv=_CSV.format(loss=loss, status=status))
+    assert compare_runs.main([str(a), str(b), "--rtol", rtol]) == code
+    out = capsys.readouterr().out
+    assert ("FAIL" in out) == bool(code)
+    if status != "ok":
+        assert "'ok' vs 'diverged@10'" in out
+
+
 def test_relative_difference_handles_zeros_infinities_and_nans():
     rel = compare_runs.relative_difference
     assert rel(np.array([0.0, np.inf, np.nan]), np.array([0.0, np.inf, np.nan])) == 0.0
