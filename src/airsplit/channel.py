@@ -13,8 +13,10 @@ gradients ride the channel without any channel estimation.
 
 With P paths, H = L R^T factors into L = conj(steer(arrivals)) diag(gains),
 (n_rx, P), and R = steer(departures), (n_tx, P), so it has rank at most P.
-Transmission applies the two factors in turn, R^T then L forward and L^T
-then R backward, instead of the dense H.
+When the two factors take under half the multiply-adds of H, that is
+2 P (n_tx + n_rx) < n_tx n_rx (few paths next to the array sizes),
+transmission applies them in turn, R^T then L forward and L^T then R
+backward; otherwise it applies the dense H, which is then the faster.
 """
 from __future__ import annotations
 
@@ -105,17 +107,18 @@ def _factors(paths: PathSet, n_tx: int, n_rx: int):
 
 @dataclass(frozen=True)
 class ChannelState:
-    """A sampled channel: array sizes, paths, the path factors left (n_rx, P)
-    and right (n_tx, P), the cached matrix left @ right.T (equal to
-    build_matrix) and its spectral norm."""
+    """A sampled channel: array sizes, paths, the cached matrix (equal to
+    build_matrix) and its spectral norm.  factors is (left, right), (n_rx, P)
+    and (n_tx, P) with left @ right.T equal to matrix, when the channel has
+    few paths for its array sizes, 2 P (n_tx + n_rx) < n_tx n_rx, and None
+    otherwise; transmission applies it when it is kept."""
 
     n_tx: int
     n_rx: int
     paths: PathSet
-    left: np.ndarray
-    right: np.ndarray
     matrix: np.ndarray
     spectral: float
+    factors: tuple[np.ndarray, np.ndarray] | None
 
     @classmethod
     def from_paths(cls, n_tx: int, n_rx: int, paths: PathSet) -> "ChannelState":
@@ -123,8 +126,12 @@ class ChannelState:
             raise ValueError("antenna counts must be positive")
         left, right = _factors(paths, n_tx, n_rx)
         h = left @ right.T
-        return cls(n_tx=n_tx, n_rx=n_rx, paths=paths, left=left, right=right, matrix=h,
-                   spectral=spectral_norm(h))
+        # Two products through the P paths beat one dense product only when
+        # they need under half its multiply-adds; short of that, the second
+        # call's overhead costs more than the arithmetic it saves.
+        low_rank = 2 * paths.n_paths * (n_tx + n_rx) < n_tx * n_rx
+        return cls(n_tx=n_tx, n_rx=n_rx, paths=paths, matrix=h, spectral=spectral_norm(h),
+                   factors=(left, right) if low_rank else None)
 
 
 def sample_channel(n_tx: int, n_rx: int, n_paths: int, rng: np.random.Generator) -> ChannelState:
@@ -204,27 +211,33 @@ class NoiseModel:
 NOISELESS = NoiseModel(sigma2=0.0)
 
 
-def _received(first: np.ndarray, second: np.ndarray, x: np.ndarray, sigma2: float,
+def _received(first: np.ndarray, second: np.ndarray | None, x: np.ndarray, sigma2: float,
               rng: np.random.Generator | None, out: np.ndarray | None) -> np.ndarray:
-    """second @ (first @ x_k) plus noise for each use x_k of x."""
+    """second @ (first @ x_k), or first @ x_k when second is None, plus
+    noise for each use x_k of x."""
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim not in (2, 3) or x.shape[-2] != first.shape[1]:
         raise ValueError(f"expected ([K,] {first.shape[1]}, batch) input, got {x.shape}")
     if sigma2 > 0.0 and rng is None:
         raise ValueError("rng is required when noise power is positive")
-    shape = x.shape[:-2] + (second.shape[0], x.shape[-1])
+    rows = (first if second is None else second).shape[0]
+    shape = x.shape[:-2] + (rows, x.shape[-1])
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
     elif (out.dtype != np.complex128 or out.shape != shape
           or not out.flags.c_contiguous):
         raise ValueError(f"out must be a C-contiguous complex128 array of shape "
                          f"{shape}, got {out.dtype} {out.shape}")
-    # Use by use through one (P, B) path scratch, read whole before dst is
-    # written, so out may be x itself.
-    paths = np.empty((first.shape[0], x.shape[-1]), dtype=np.complex128)
+    # Use by use through one scratch that holds first @ x_k whole before dst
+    # is written, so out may be x itself: a (P, B) path scratch that the
+    # second factor reads, or the (n, B) received use, copied out.
+    scratch = np.empty((first.shape[0], x.shape[-1]), dtype=np.complex128)
     for src, dst in zip(x.reshape((-1,) + x.shape[-2:]), out.reshape((-1,) + shape[-2:])):
-        np.matmul(first, src, out=paths)
-        np.matmul(second, paths, out=dst)
+        np.matmul(first, src, out=scratch)
+        if second is None:
+            dst[...] = scratch
+        else:
+            np.matmul(second, scratch, out=dst)
     if sigma2 > 0.0:
         add_crandn(rng, out, sigma2)
     return out
@@ -235,18 +248,25 @@ def transmit_forward(state: ChannelState, x: np.ndarray, noise: NoiseModel,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Send x, (n_tx, B) or a (K, n_tx, B) stack of uses, through the forward channel.
 
-    Each use x_k is received as left @ (right.T @ x_k), the path factors of
-    H in that order, plus white circular noise per receive antenna,
-    independent across antennas, columns and uses.  Factor and draw order
-    (fixed, part of the replay contract): use by use, the two products and
-    then one crandn (n_rx, B) draw each, real parts before imaginary ones.
+    Each use x_k is received as H x_k plus white circular noise per receive
+    antenna, independent across antennas, columns and uses.  H x_k is
+    left @ (right.T @ x_k) when the state keeps its path factors (few paths
+    for the array sizes, see ChannelState), matrix @ x_k otherwise.  Product
+    and draw order (fixed, part of the replay contract): use by use, the
+    product(s) and then one crandn (n_rx, B) draw each, real parts before
+    imaginary ones.
 
     The result is written into out, a C-contiguous complex128 array of the
     received shape, and returned; out=None allocates it.  Uses are received
-    one at a time through a (P, B) path scratch, so with n_tx == n_rx out
-    may be x itself, which the caller then gives up.
+    one at a time through a scratch, so with n_tx == n_rx out may be x
+    itself, which the caller then gives up.
     """
-    return _received(state.right.T, state.left, x, noise.sigma2_per_antenna(state), rng, out)
+    if state.factors is None:
+        first, second = state.matrix, None
+    else:
+        left, right = state.factors
+        first, second = right.T, left
+    return _received(first, second, x, noise.sigma2_per_antenna(state), rng, out)
 
 
 def transmit_backward(state: ChannelState, x: np.ndarray, noise: NoiseModel,
@@ -257,9 +277,15 @@ def transmit_backward(state: ChannelState, x: np.ndarray, noise: NoiseModel,
 
     The reverse matrix is the transpose of the forward one (same paths walked
     the other way), never the conjugate transpose: each use is received as
-    right @ (left.T @ x_k), the factors of H^T in that order.
+    right @ (left.T @ x_k) when the state keeps its path factors, the
+    factors of H^T in that order, and matrix.T @ x_k otherwise.
     """
-    return _received(state.left.T, state.right, x, noise.sigma2_per_antenna(state), rng, out)
+    if state.factors is None:
+        first, second = state.matrix.T, None
+    else:
+        left, right = state.factors
+        first, second = left.T, right
+    return _received(first, second, x, noise.sigma2_per_antenna(state), rng, out)
 
 
 def channel_snr(state: ChannelState, p_n: float) -> float:

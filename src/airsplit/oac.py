@@ -118,9 +118,10 @@ def power_normalize(block: np.ndarray, out: np.ndarray | None = None):
     An all-zero block keeps a = 1 and its values.  scaled is written into
     out, a complex128 array of block's shape with a contiguous last axis
     that may be block itself (the caller then gives up its unscaled values);
-    out=None scales a copy.  The bytes are those of block / a: numpy divides
-    a complex value by a real a as (re + 0 * im) * (1 / a), and scaled is
-    out's float view times 1 / a.
+    out=None scales a copy.  scaled is out's float view times 1 / a, which
+    has the bytes of block / a up to the sign of exact zeros: numpy divides
+    a complex value by a real a as (re + 0 * im) * (1 / a), where the added
+    zero can turn a -0.0 part into +0.0.
     """
     power = np.abs(block)
     np.square(power, out=power)
@@ -405,7 +406,8 @@ class OacLayer:
         undo = a_tilde if self.backward_rescale else ones
         stream_grads = np.conj(received)
         # Real per-use scales act on the float view, with the bytes of
-        # undo * stream_grads / t.a (see power_normalize).
+        # undo * stream_grads / t.a up to the sign of exact zeros (see
+        # power_normalize).
         floats = stream_grads.view(np.float64)
         floats *= undo[:, None, None]
         floats *= (1.0 / t.a)[:, None, None]

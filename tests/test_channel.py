@@ -31,14 +31,26 @@ def test_build_matrix_matches_entrywise_sum():
 
 
 def test_channel_state_keeps_the_path_factors_of_its_matrix():
-    state = sample_channel(5, 4, 3, make_rng(10, 9))
+    state = sample_channel(12, 10, 2, make_rng(10, 9))
     for s in (state, evolve_channel(state, 0.3, make_rng(10, 10)),
               channel_from_dict(channel_to_dict(state))):
-        assert s.left.shape == (4, 3) and s.right.shape == (5, 3)
-        assert (s.left @ s.right.T).tobytes() == s.matrix.tobytes()
-        assert build_matrix(s.paths, 5, 4).tobytes() == s.matrix.tobytes()
-        np.testing.assert_allclose(s.left[0], s.paths.gains, rtol=1e-15)
-        np.testing.assert_array_equal(s.right[0], 1.0)
+        left, right = s.factors
+        assert left.shape == (10, 2) and right.shape == (12, 2)
+        assert (left @ right.T).tobytes() == s.matrix.tobytes()
+        assert build_matrix(s.paths, 12, 10).tobytes() == s.matrix.tobytes()
+        np.testing.assert_allclose(left[0], s.paths.gains, rtol=1e-15)
+        np.testing.assert_array_equal(right[0], 1.0)
+
+
+@pytest.mark.parametrize("n_tx, n_rx, n_paths, kept", [
+    (64, 64, 8, True), (12, 10, 2, True), (64, 64, 16, False), (16, 16, 4, False),
+    (16, 16, 20, False), (5, 4, 3, False),
+])
+def test_only_a_channel_with_few_paths_keeps_its_factors(n_tx, n_rx, n_paths, kept):
+    # the factors are kept when their two products take under half the
+    # multiply-adds of the dense one: 2 P (n_tx + n_rx) < n_tx n_rx
+    state = sample_channel(n_tx, n_rx, n_paths, make_rng(10, n_tx, n_paths))
+    assert (state.factors is not None) == kept
 
 
 def test_rank_is_limited_by_path_count():
@@ -92,8 +104,9 @@ def test_transmission_shape_checks():
         transmit_forward(state, np.zeros((2, 3, 4, 1), dtype=complex), NOISELESS)
 
 
-# (K, n_tx, n_rx, B); in the (2, 64, 64, 1100) case each (n, B) noise block
-# outgrows crandn's scratch, and the last two arrays are not square
+# (K, n_tx, n_rx, B), all with 3 paths; in the (2, 64, 64, 1100) case each
+# (n, B) noise block outgrows crandn's scratch, the last two arrays are not
+# square, and the 16 and 64 antenna arrays keep their path factors
 @pytest.mark.parametrize("k, n_tx, n_rx, b", [
     (1, 1, 1, 1), (3, 5, 5, 7), (4, 16, 16, 64), (8, 64, 64, 64), (2, 64, 64, 1100),
     (3, 5, 7, 4), (2, 12, 8, 9),
@@ -101,18 +114,29 @@ def test_transmission_shape_checks():
 def test_a_stacked_transmission_equals_one_call_per_use(k, n_tx, n_rx, b):
     state = sample_channel(n_tx, n_rx, 3, make_rng(20, n_tx))
     noise = NoiseModel(sigma2=0.3)
-    for send, (first, second), h in (
-            (transmit_forward, (state.right.T, state.left), state.matrix),
-            (transmit_backward, (state.left.T, state.right), state.matrix.T)):
+    if state.factors is None:
+        products = ((state.matrix,), (state.matrix.T,))
+    else:
+        left, right = state.factors
+        products = ((right.T, left), (left.T, right))
+    for send, ops, h in ((transmit_forward, products[0], state.matrix),
+                         (transmit_backward, products[1], state.matrix.T)):
         n_out, n_in = h.shape
         x = crandn(make_rng(21, k, n_in, b), (k, n_in, b))
         rngs = [make_rng(22) for _ in range(4)]
         stacked = send(state, x, noise, rngs[0])
         per_use = np.stack([send(state, x[i], noise, rngs[1]) for i in range(k)])
-        # the replay contract: the path factors applied to x_k in turn, plus
-        # one crandn draw per use, in use order
+        # the replay contract: the path factors applied to x_k in turn, or
+        # the matrix when the state keeps none, plus one crandn draw per
+        # use, in use order
         noise_draws = np.stack([crandn(rngs[2], (n_out, b), var=0.3) for _ in range(k)])
-        by_hand = np.stack([second @ (first @ x[i]) for i in range(k)]) + noise_draws
+        received = []
+        for i in range(k):
+            y = x[i]
+            for op in ops:
+                y = op @ y
+            received.append(y)
+        by_hand = np.stack(received) + noise_draws
         hx = h @ x
         assert np.linalg.norm(stacked - noise_draws - hx) <= 1e-12 * np.linalg.norm(hx)
         # into out: x itself on a square array, a given array otherwise

@@ -79,6 +79,16 @@ def test_power_normalize_is_byte_equal_to_dividing_by_the_scales(shape):
     assert scaled.tobytes() == want.tobytes()
 
 
+def test_power_normalize_keeps_the_sign_of_exact_zeros():
+    # the float view times 1 / a keeps a -0.0 part, where np.divide's
+    # (re + 0 * im) * (1 / a) may turn it into +0.0; the values are equal
+    block = np.array([[complex(-0.0, 2.0)], [complex(1.0, -0.0)]])
+    scaled, a = power_normalize(block)
+    assert a == math.sqrt(5.0)
+    np.testing.assert_array_equal(scaled, block / a)
+    assert np.signbit(scaled.view(np.float64)).tolist() == [[True, False], [False, True]]
+
+
 def test_feasible_boundary():
     assert feasible(2, 3, 6, 8)          # 6 >= min
     assert feasible(1, 5, 5, 9)
