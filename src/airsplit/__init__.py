@@ -28,8 +28,7 @@ from .bench import (ConfigError, CostComparisonRow, CostRow,
                     DataConfig, Dataset, ExperimentConfig, LayerSpec,
                     TrainConfig, build_system, config_from_dict,
                     config_to_dict, cost_comparison, cost_report,
-                    generate_dataset, load_dataset, preset,
-                    run_experiment, save_dataset)
+                    generate_dataset, preset, run_experiment)
 from .verify import verify_all
 
 __version__ = "0.1.0"

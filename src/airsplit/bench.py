@@ -36,8 +36,6 @@ __all__ = [
     "PRESET_NAMES",
     "Dataset",
     "generate_dataset",
-    "save_dataset",
-    "load_dataset",
     "build_system",
     "run_experiment",
     "LayerSpec",
@@ -183,7 +181,10 @@ def _build_section(cls, record: dict, path: str):
     for key in record:
         if key not in known:
             raise ConfigError(f"{path}.{key}: unknown field")
-    return cls(**record)
+    try:
+        return cls(**record)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def config_from_dict(record: dict) -> ExperimentConfig:
@@ -296,18 +297,6 @@ def generate_dataset(cfg: DataConfig) -> Dataset:
     order = rng.permutation(train_y.size)
     return Dataset(train_x=train_x[:, order], train_y=train_y[order],
                    test_x=test_x, test_y=test_y, centers=centers)
-
-
-def save_dataset(ds: Dataset, path) -> None:
-    np.savez(path, train_x=ds.train_x, train_y=ds.train_y,
-             test_x=ds.test_x, test_y=ds.test_y, centers=ds.centers)
-
-
-def load_dataset(path) -> Dataset:
-    with np.load(path) as data:
-        return Dataset(train_x=data["train_x"], train_y=data["train_y"],
-                       test_x=data["test_x"], test_y=data["test_y"],
-                       centers=data["centers"])
 
 
 # -- systems ------------------------------------------------------------------

@@ -198,9 +198,7 @@ class NoiseModel:
 
     def total_power(self, state: ChannelState) -> float:
         """Total noise power across the receiving array."""
-        if self.sigma2 is not None:
-            return self.sigma2 * state.n_rx
-        return state.spectral * state.n_rx / 10.0 ** (self.snr_db / 10.0)
+        return self.sigma2_per_antenna(state) * state.n_rx
 
     def sigma2_per_antenna(self, state: ChannelState) -> float:
         if self.sigma2 is not None:

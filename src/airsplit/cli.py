@@ -1,9 +1,10 @@
 """Command line entry point.
 
 Subcommands: run (train a configured sweep), cost (accounting tables),
-regret (noisy online-optimization study), gen-data (write a dataset),
-verify (built-in consistency checks).  Failures print a one-line JSON error
-record to stderr and exit nonzero (2 for bad configuration, 1 otherwise).
+regret (noisy online-optimization study), verify (built-in consistency
+checks).  Every key=value argument goes through bench.apply_overrides, the
+parser run uses.  Failures print a one-line JSON error record to stderr and
+exit nonzero (2 for bad configuration, 1 otherwise).
 """
 from __future__ import annotations
 
@@ -13,10 +14,9 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import (ConfigError, DataConfig, LayerSpec, PRESET_NAMES,
+from .bench import (ConfigError, LayerSpec, PRESET_NAMES, _build_section,
                     apply_overrides, config_from_dict, config_to_dict,
-                    cost_comparison, cost_report, generate_dataset, preset,
-                    save_dataset)
+                    cost_comparison, cost_report, preset)
 from .runtime import RegretConfig, regret_experiment
 from .verify import verify_all
 
@@ -53,36 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE",
                        help="RegretConfig field override, repeatable")
 
-    p_gen = sub.add_parser("gen-data", help="generate and store a dataset")
-    p_gen.add_argument("--seed", type=int, default=None)
-    p_gen.add_argument("--out-dir", default="data",
-                       help="directory for dataset.npz (default data/)")
-    p_gen.add_argument("--override", action="append", default=[],
-                       metavar="KEY=VALUE",
-                       help="DataConfig field override, repeatable")
-
     sub.add_parser("verify", help="run the built-in consistency checks")
     return parser
-
-
-def _parse_kv(pairs, cls, path: str):
-    """key=value strings onto a flat dataclass, JSON-parsing each value."""
-    values = {}
-    fields = {f.name for f in dataclasses.fields(cls)}
-    for item in pairs:
-        if "=" not in item:
-            raise ConfigError(f"{path}: expected key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        if key not in fields:
-            raise ConfigError(f"{path}.{key}: unknown field")
-        try:
-            values[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            values[key] = raw
-    try:
-        return cls(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _load_run_config(args):
@@ -120,7 +92,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    spec = _parse_kv(args.sizes, LayerSpec, "sizes")
+    spec = _build_section(LayerSpec, apply_overrides({}, args.sizes), "sizes")
     rows = cost_report(spec)
     comp = cost_comparison(spec.r)
     width = max(len(f"{row.kind} {row.side}/{row.form}") for row in rows)
@@ -155,7 +127,8 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_regret(args) -> int:
-    cfg = _parse_kv(args.override, RegretConfig, "regret")
+    cfg = _build_section(RegretConfig, apply_overrides({}, args.override),
+                         "regret")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if isinstance(cfg.sigmas, list):
@@ -199,23 +172,6 @@ def _cmd_regret(args) -> int:
     return 1 if result.diverged else 0
 
 
-def _cmd_gen_data(args) -> int:
-    cfg = _parse_kv(args.override, DataConfig, "data")
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    ds = generate_dataset(cfg)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_dataset(ds, out / "dataset.npz")
-    with open(out / "dataset.json", "w") as fh:
-        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out / 'dataset.npz'}: "
-          f"{ds.train_y.size} train / {ds.test_y.size} test samples, "
-          f"{ds.train_x.shape[0]} features, {int(ds.train_y.max()) + 1} classes")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -226,8 +182,6 @@ def main(argv=None) -> int:
             return _cmd_cost(args)
         if args.command == "regret":
             return _cmd_regret(args)
-        if args.command == "gen-data":
-            return _cmd_gen_data(args)
         if args.command == "verify":
             failures = verify_all()
             return 0 if failures == 0 else 1

@@ -290,21 +290,21 @@ class OacLayer:
     def _tx_adjoint(self, t: Transcript, g_blocks: np.ndarray):
         """Adjoint of _tx at the block gradients g_blocks (K, n_tx, B).
 
-        Returns (g_u, g_x, grads): the per-use precoder-input gradients
-        P_k^H g_k, the layer-input gradient and the transmitter parameter
-        gradients.  A shared P sums its gradient over the uses.
+        Returns (g_x, grads): the layer-input gradient, taken through the
+        per-use precoder-input gradients P_k^H g_k, and the transmitter
+        parameter gradients.  A shared P sums its gradient over the uses.
         """
         p = self.params["P"]
         g_u = _hermitian(p) @ g_blocks
         g_p = g_blocks @ _hermitian(t.u)
         grads = {"P": g_p if p.ndim == 3 else np.sum(g_p, axis=0)}
         if self.tx_mode == "full":
-            return g_u, g_u.sum(axis=0), grads
+            return g_u.sum(axis=0), grads
         if self.tx_mode == "chunk":
-            return g_u, _unchunk(g_u, self.n_in), grads
+            return _unchunk(g_u, self.n_in), grads
         g_s = g_u.reshape(self.k_total * self.r, -1)
         grads["W0"] = g_s @ t.x.conj().T
-        return g_u, self.params["W0"].conj().T @ g_s, grads
+        return self.params["W0"].conj().T @ g_s, grads
 
     def _rx(self, received: np.ndarray, scale: np.ndarray):
         """Receive end: antenna blocks (K, n_rx, B) -> (y, z).
@@ -411,7 +411,7 @@ class OacLayer:
         floats = stream_grads.view(np.float64)
         floats *= undo[:, None, None]
         floats *= (1.0 / t.a)[:, None, None]
-        _, g_x, tx_grads = self._tx_adjoint(t, stream_grads)
+        g_x, tx_grads = self._tx_adjoint(t, stream_grads)
         grads.update(tx_grads)
         for name in self.frozen:
             del grads[name]

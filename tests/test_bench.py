@@ -9,8 +9,8 @@ from airsplit.bench import (
     ConfigError, CostComparisonRow, DataConfig,
     ExperimentConfig, LayerSpec, PRESET_NAMES, TrainConfig, apply_overrides,
     build_system, config_from_dict, config_to_dict,
-    cost_comparison, cost_report, generate_dataset, load_dataset,
-    preset, run_experiment, save_dataset, validate_config,
+    cost_comparison, cost_report, generate_dataset,
+    preset, run_experiment, validate_config,
 )
 from airsplit.channel import NoiseModel, channel_snr, sample_channel
 from airsplit.linalg import make_rng
@@ -153,16 +153,6 @@ def test_dataset_sizes_and_determinism():
     np.testing.assert_array_equal(ds.train_y, again.train_y)
     other = generate_dataset(DataConfig(seed=8))
     assert not np.allclose(ds.train_x, other.train_x)
-
-
-def test_dataset_save_load_round_trip(tmp_path):
-    ds = generate_dataset(DataConfig(n_features=5, n_classes=3,
-                                     train_per_class=7, test_per_class=2))
-    path = tmp_path / "ds.npz"
-    save_dataset(ds, path)
-    back = load_dataset(path)
-    for field in ("train_x", "train_y", "test_x", "test_y", "centers"):
-        np.testing.assert_array_equal(getattr(ds, field), getattr(back, field))
 
 
 # -- system assembly ----------------------------------------------------------

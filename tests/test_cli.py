@@ -2,7 +2,6 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from airsplit.cli import main
@@ -31,16 +30,15 @@ def test_cost_rejects_unknown_size(capsys):
     assert record["error"] == "config" and "n_q" in record["message"]
 
 
-def test_gen_data_writes_dataset_and_config(tmp_path, capsys):
-    rc = main(["gen-data", "--seed", "11", "--out-dir", str(tmp_path),
-               "--override", "n_classes=3", "--override", "train_per_class=6",
-               "--override", "test_per_class=2", "--override", "n_features=4"])
-    out = capsys.readouterr().out
-    assert rc == 0 and "18 train / 6 test" in out
-    with np.load(tmp_path / "dataset.npz") as data:
-        assert data["train_x"].shape == (4, 18)
-    meta = json.loads((tmp_path / "dataset.json").read_text())
-    assert meta["seed"] == 11 and meta["n_classes"] == 3
+@pytest.mark.parametrize("argv, item", [
+    (["cost", "n_i"], "n_i"),
+    (["regret", "--override", "steps"], "steps"),
+])
+def test_an_item_without_equals_is_rejected_by_name(argv, item, capsys):
+    rc = main(argv)
+    record = json.loads(capsys.readouterr().err)
+    assert rc == 2 and record["error"] == "config"
+    assert record["message"] == f"override {item!r}: expected key=value"
 
 
 def test_run_executes_a_small_sweep(tmp_path, capsys):
@@ -122,3 +120,8 @@ def test_installed_entry_point(tmp_path):
 def test_missing_subcommand_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_an_unknown_subcommand_is_an_argparse_error():
+    with pytest.raises(SystemExit):
+        main(["gen-data"])
