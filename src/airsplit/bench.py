@@ -100,10 +100,20 @@ def _require(cond: bool, path: str, msg: str) -> None:
         raise ConfigError(f"{path}: {msg}")
 
 
+# The integer fields of a config, by path, and the least value of each.
+_INTEGER_FIELDS = (
+    ("n_nodes", 2), ("n_tx", 1), ("n_rx", 1), ("n_paths", 1), ("channel_seed", 0),
+    ("data.n_features", 1), ("data.n_classes", 2), ("data.train_per_class", 1),
+    ("data.test_per_class", 1), ("data.seed", 0), ("train.batch_size", 1),
+    ("train.steps", 1), ("train.eval_every", 1), ("train.log_every", 1))
+
+
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    _require(cfg.n_nodes >= 2, "n_nodes", "need at least two nodes")
-    for name in ("n_tx", "n_rx", "n_paths"):
-        _require(getattr(cfg, name) >= 1, name, "must be >= 1")
+    for path, least in _INTEGER_FIELDS:
+        section, _, name = path.rpartition(".")
+        value = getattr(getattr(cfg, section) if section else cfg, name)
+        _require(isinstance(value, numbers.Integral) and value >= least, path,
+                 f"{value!r} must be an integer >= {least}")
     _require(cfg.side in ("transmitter", "receiver"), "side",
              "must be 'transmitter' or 'receiver'")
     _require(cfg.form in ("auto", "combined", "separated"), "form",
@@ -131,19 +141,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
              "must be >= 0 and finite")
     _require(cfg.backward_rescale in ("auto", "on", "off"), "backward_rescale",
              "must be 'auto', 'on' or 'off'")
-    d, t = cfg.data, cfg.train
-    _require(d.n_features >= 1, "data.n_features", "must be >= 1")
-    _require(d.n_classes >= 2, "data.n_classes", "must be >= 2")
-    _require(d.train_per_class >= 1, "data.train_per_class", "must be >= 1")
-    _require(d.test_per_class >= 1, "data.test_per_class", "must be >= 1")
-    _require(d.separation > 0, "data.separation", "must be > 0")
-    _require(t.batch_size >= 1, "train.batch_size", "must be >= 1")
-    _require(t.steps >= 1, "train.steps", "must be >= 1")
-    _require(t.lr > 0, "train.lr", "must be > 0")
-    _require(t.optimizer in ("adam", "sgd"), "train.optimizer",
-             "must be 'adam' or 'sgd'")
-    _require(t.eval_every >= 1, "train.eval_every", "must be >= 1")
-    _require(t.log_every >= 1, "train.log_every", "must be >= 1")
+    _require(cfg.data.separation > 0, "data.separation", "must be > 0")
+    _require(cfg.train.lr > 0, "train.lr", "must be > 0")
+    _require(cfg.train.optimizer in ("adam", "sgd"), "train.optimizer", "must be 'adam' or 'sgd'")
     return cfg
 
 
@@ -534,16 +534,14 @@ class LayerSpec:
     n_wo: int | None = None
 
     def __post_init__(self):
-        for name in ("n_i", "n_o", "n_t", "n_r", "r", "batch"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name}: must be >= 1")
-        conv = [self.n_ci, self.n_co, self.n_k, self.n_hi, self.n_wi,
-                self.n_ho, self.n_wo]
-        given = [v is not None for v in conv]
+        conv = ("n_ci", "n_co", "n_k", "n_hi", "n_wi", "n_ho", "n_wo")
+        given = [getattr(self, name) is not None for name in conv]
         if any(given) and not all(given):
             raise ConfigError("conv sizes must be given all together or not at all")
-        if all(given) and any(v < 1 for v in conv):
-            raise ConfigError("conv sizes must be >= 1")
+        for name in ("n_i", "n_o", "n_t", "n_r", "r", "batch") + (conv if all(given) else ()):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ConfigError(f"{name}: {value!r} must be an integer >= 1")
 
     @property
     def has_conv(self) -> bool:

@@ -155,8 +155,8 @@ def evolve_channel(state: ChannelState, rho: float, rng: np.random.Generator) ->
     """Mix every path parameter toward a fresh draw by factor rho.
 
     Each parameter moves as (1 - rho) * old + rho * fresh, with the fresh
-    values drawn in the same order sample_channel uses; angles are wrapped
-    back into (-pi, pi] after mixing.  rho = 0 returns the state bit-exactly
+    values drawn in the same order sample_channel uses; PathSet wraps the
+    mixed angles back into (-pi, pi].  rho = 0 returns the state bit-exactly
     unchanged, rho = 1 is a fresh, independent channel.
     """
     if not 0.0 <= rho <= 1.0:
@@ -169,8 +169,8 @@ def evolve_channel(state: ChannelState, rho: float, rng: np.random.Generator) ->
     gains_new = mags_new * np.exp(1j * phases_new)
     paths = PathSet(
         gains=(1.0 - rho) * state.paths.gains + rho * gains_new,
-        departures=wrap_angle((1.0 - rho) * state.paths.departures + rho * departures_new),
-        arrivals=wrap_angle((1.0 - rho) * state.paths.arrivals + rho * arrivals_new),
+        departures=(1.0 - rho) * state.paths.departures + rho * departures_new,
+        arrivals=(1.0 - rho) * state.paths.arrivals + rho * arrivals_new,
     )
     return ChannelState.from_paths(state.n_tx, state.n_rx, paths)
 

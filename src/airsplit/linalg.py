@@ -52,10 +52,9 @@ _CRANDN_SCRATCH = 1 << 16
 _ADD_CRANDN_SCRATCH = 1 << 13
 
 
-def _draw_normals(rng: np.random.Generator, parts, scale: float, buf: np.ndarray,
-                  add: bool = False) -> None:
+def _draw_normals(rng: np.random.Generator, parts, scale: float, buf: np.ndarray) -> None:
     """Write scale times the next standard normals of rng into the 1-D float
-    arrays of parts, in order, or add them to what the parts hold.
+    arrays of parts, in order.
 
     The normals are drawn through the float scratch buf in pieces of at most
     buf.size, which may straddle parts; a normal stream drawn in pieces equals
@@ -68,16 +67,10 @@ def _draw_normals(rng: np.random.Generator, parts, scale: float, buf: np.ndarray
     for lo in range(0, total, max(buf.size, 1)):
         piece = buf[:min(buf.size, total - lo)]
         rng.standard_normal(out=piece)
-        if add:
-            np.multiply(piece, scale, out=piece)
         at = 0
         while at < piece.size:
             dst = parts[i][j:j + piece.size - at]
-            src = piece[at:at + dst.size]
-            if add:
-                np.add(dst, src, out=dst)
-            else:
-                np.multiply(src, scale, out=dst)
+            np.multiply(piece[at:at + dst.size], scale, out=dst)
             at += dst.size
             j += dst.size
             if j == parts[i].size:
@@ -117,17 +110,21 @@ def add_crandn(rng: np.random.Generator, out: np.ndarray, var: float) -> None:
     in place and in C order of the blocks: the sums and the final stream
     position equal those of one crandn call per block.
 
-    All blocks' normals are drawn as one stream, block by block and real
-    part before imaginary part, through a float scratch of at most
-    _ADD_CRANDN_SCRATCH entries.  An out that is not C-contiguous is worked
-    on in a contiguous copy that is written back.
+    Whole blocks go through a float scratch of _ADD_CRANDN_SCRATCH entries
+    (one block, if larger): one standard_normal draw, block by block and real
+    part before imaginary part, one scale, one add into the (re, im) float
+    view.  A non-C-contiguous out is worked on in a copy that is written back.
     """
     work = out if out.flags.c_contiguous else np.ascontiguousarray(out)
-    blocks = work.reshape(math.prod(out.shape[:-2]), math.prod(out.shape[-2:]))
-    blocks = blocks.view(np.float64)             # (blocks, 2 * rows * cols)
-    parts = [part for block in blocks for part in (block[0::2], block[1::2])]
-    _draw_normals(rng, parts, math.sqrt(var / 2.0),
-                  np.empty(min(blocks.size, _ADD_CRANDN_SCRATCH)), add=True)
+    count, size = math.prod(out.shape[:-2]), math.prod(out.shape[-2:])
+    blocks = work.reshape(count, size, 1).view(np.float64).transpose(0, 2, 1)  # (count, 2, size)
+    per = max(1, _ADD_CRANDN_SCRATCH // max(2 * size, 1))
+    buf = np.empty((min(per, count), 2, size))
+    for lo in range(0, count, per):
+        piece = buf[:count - lo]
+        rng.standard_normal(out=piece)
+        piece *= math.sqrt(var / 2.0)
+        np.add(blocks[lo:lo + len(piece)], piece, out=blocks[lo:lo + len(piece)])
     if work is not out:
         out[...] = work
 

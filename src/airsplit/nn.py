@@ -44,7 +44,7 @@ class Dense:
     def forward(self, x, train=True):
         y = self.w @ x
         if self.b is not None:
-            y = y + self.b[:, None]
+            y += self.b[:, None]
         return y, {"x": x}
 
     def backward(self, cache, g):
@@ -128,15 +128,10 @@ class Conv2d:
 
 def _bn_axes(x, n_features):
     """Return (stat axes, parameter broadcast shape) for 2-d or 4-d input."""
-    if x.ndim == 2:
-        if x.shape[0] != n_features:
-            raise ValueError("feature axis mismatch")
-        return (1,), (n_features, 1)
-    if x.ndim == 4:
-        if x.shape[1] != n_features:
-            raise ValueError("channel axis mismatch")
-        return (0, 2, 3), (1, n_features, 1, 1)
-    raise ValueError("batch norm expects 2-d or 4-d input")
+    if x.ndim not in (2, 4) or x.shape[x.ndim // 4] != n_features:
+        raise ValueError(f"batch norm expects ({n_features}, B) or (B, {n_features}, H, W) "
+                         f"input, got {x.shape}")
+    return ((1,), (n_features, 1)) if x.ndim == 2 else ((0, 2, 3), (1, n_features, 1, 1))
 
 
 class ComplexBatchNorm:
@@ -145,6 +140,11 @@ class ComplexBatchNorm:
     Train mode uses batch statistics and updates running averages; eval mode
     uses the running averages.  The affine scale gamma multiplies the full
     complex value, so it can rotate as well as stretch.
+
+    Both passes work in place on the real and imaginary part views of one
+    complex array with the part-wise floating-point operations (sums over
+    each strided part, division by each part's s = sqrt(var + eps)): the
+    bytes of u + 1j * v, save that a zero part of xhat or g_x keeps its sign.
     """
 
     def __init__(self, n_features: int, momentum: float = 0.1, eps: float = 1e-8):
@@ -163,64 +163,71 @@ class ComplexBatchNorm:
     def forward(self, x, train=True):
         axes, shape = _bn_axes(x, self.n)
         if train:
-            mu_re = x.real.mean(axis=axes)
-            mu_im = x.imag.mean(axis=axes)
-            var_re = x.real.var(axis=axes)
-            var_im = x.imag.var(axis=axes)
-            m = self.momentum
-            self.running_mean += m * ((mu_re + 1j * mu_im) - self.running_mean)
-            self.running_var_re += m * (var_re - self.running_var_re)
-            self.running_var_im += m * (var_im - self.running_var_im)
+            mu = np.empty(self.n, dtype=np.complex128)
+            for part, out in ((x.real, mu.real), (x.imag, mu.imag)):
+                np.add.reduce(part, axis=axes, out=out)
+            mu.view(np.float64)[...] /= x.size // self.n
         else:
-            mu_re, mu_im = self.running_mean.real, self.running_mean.imag
-            var_re, var_im = self.running_var_re, self.running_var_im
-        s_re = np.sqrt(var_re + self.eps)
-        s_im = np.sqrt(var_im + self.eps)
-        u = (x.real - mu_re.reshape(shape)) / s_re.reshape(shape)
-        v = (x.imag - mu_im.reshape(shape)) / s_im.reshape(shape)
-        xhat = u + 1j * v
-        y = self.gamma.reshape(shape) * xhat + self.beta.reshape(shape)
-        cache = {"xhat": xhat, "s_re": s_re, "s_im": s_im,
-                 "axes": axes, "shape": shape, "train": train}
-        return y, cache
+            mu = self.running_mean
+        xhat = np.subtract(x, mu.reshape(shape), dtype=np.complex128)
+        parts = (xhat.real, xhat.imag)
+        if train:
+            var = np.empty((2, self.n))
+            for part, out in zip(parts, var):
+                np.add.reduce(np.square(part), axis=axes, out=out)
+            var /= x.size // self.n
+            m = self.momentum
+            self.running_mean += m * (mu - self.running_mean)
+            self.running_var_re += m * (var[0] - self.running_var_re)
+            self.running_var_im += m * (var[1] - self.running_var_im)
+        else:
+            var = np.stack((self.running_var_re, self.running_var_im))
+        s = np.sqrt(var + self.eps).reshape((2,) + shape)
+        for part, s_part in zip(parts, s):
+            np.divide(part, s_part, out=part)
+        y = self.gamma.reshape(shape) * xhat
+        y += self.beta.reshape(shape)
+        return y, {"xhat": xhat, "s": s, "axes": axes, "shape": shape, "train": train}
 
     def backward(self, cache, g):
-        axes, shape = cache["axes"], cache["shape"]
-        xhat = cache["xhat"]
-        g_gamma = (g * xhat.conj()).sum(axis=axes)
-        g_beta = g.sum(axis=axes)
-        g_hat = self.gamma.conj().reshape(shape) * g
-        s_re = cache["s_re"].reshape(shape)
-        s_im = cache["s_im"].reshape(shape)
-        if cache["train"]:
-            # Real-part and imaginary-part normalizations backprop separately,
-            # each through the usual batch-statistics correction terms.
-            n_red = int(np.prod([g.shape[a] for a in axes]))
-
-            def through(h, u, s):
-                corr = h - h.mean(axis=axes).reshape(shape) \
-                    - u * ((h * u).sum(axis=axes).reshape(shape) / n_red)
-                return corr / s
-
-            g_x = through(g_hat.real, xhat.real, s_re) + 1j * through(g_hat.imag, xhat.imag, s_im)
-        else:
-            g_x = g_hat.real / s_re + 1j * g_hat.imag / s_im
-        return g_x, {"gamma": g_gamma, "beta": g_beta}
+        axes, shape, xhat, s = cache["axes"], cache["shape"], cache["xhat"], cache["s"]
+        grads = {"gamma": np.add.reduce(g * xhat.conj(), axis=axes),
+                 "beta": np.add.reduce(g, axis=axes)}
+        g_x = self.gamma.conj().reshape(shape) * g
+        if not cache["train"]:
+            # As written: 1j * h / s is (1j * h) / s, whose imaginary part is h * (1 / s).
+            return g_x.real / s[0] + 1j * g_x.imag / s[1], grads
+        # Per part, with h of gamma^* g and u of xhat: (h - mean h - u mean(h u)) / s;
+        # the complex subtraction of the means subtracts part from part.
+        count, pairs = g.size // self.n, ((g_x.real, xhat.real), (g_x.imag, xhat.imag))
+        mean_h, mean_hu = np.empty(self.n, dtype=np.complex128), np.empty((2, self.n))
+        for (h, u), out_h, out_hu in zip(pairs, (mean_h.real, mean_h.imag), mean_hu):
+            np.add.reduce(h, axis=axes, out=out_h)
+            np.add.reduce(h * u, axis=axes, out=out_hu)
+        mean_h.view(np.float64)[...] /= count
+        mean_hu /= count
+        g_x -= mean_h.reshape(shape)
+        for (h, u), c, s_part in zip(pairs, mean_hu.reshape((2,) + shape), s):
+            np.subtract(h, u * c, out=h)
+            np.divide(h, s_part, out=h)
+        return g_x, grads
 
 
 class CRelu:
-    """ReLU applied to real and imaginary parts independently."""
+    """ReLU on real and imaginary parts independently: one mask on the float
+    view, so a zeroed part is part * 0.0 and keeps its sign (-0.0 if negative)."""
 
     def parameters(self):
         return {}
 
     def forward(self, x, train=True):
-        mr = x.real > 0
-        mi = x.imag > 0
-        return x.real * mr + 1j * (x.imag * mi), {"mr": mr, "mi": mi}
+        floats = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+        mask = floats > 0
+        return (floats * mask).view(np.complex128), mask
 
     def backward(self, cache, g):
-        return g.real * cache["mr"] + 1j * (g.imag * cache["mi"]), {}
+        floats = np.ascontiguousarray(g, dtype=np.complex128).view(np.float64)
+        return (floats * cache).view(np.complex128), {}
 
 
 class AvgPool2d:
@@ -338,12 +345,13 @@ class Adam:
     part so a purely real gradient never normalizes the imaginary axis.
     Bias correction uses a single global step counter.
 
-    The moments of the current gradients live in three flat buffers laid out
-    in gradient-dict order, and the per-name entries of m, v_re and v_im are
-    views into them, so a step is one set of elementwise ops plus one
-    in-place update per tensor.  The layout is rebuilt, moments carried over,
-    whenever the gradient names or shapes change; elementwise ops make the
-    bytes independent of the layout.
+    The moments live in flat buffers in gradient-dict order, m complex and
+    v with (v_re, v_im) side by side; the per-name m, v_re and v_im are
+    views into them, so a step is one set of elementwise ops (v and the
+    update on float views: m / c1 is m's float view times 1 / c1) plus one
+    in-place update per tensor.  The layout is rebuilt, moments carried
+    over, whenever the gradient names or shapes change; elementwise ops
+    make the bytes independent of the layout.
     """
 
     def __init__(self, lr: float = 0.005, beta1: float = 0.9, beta2: float = 0.999,
@@ -357,24 +365,24 @@ class Adam:
         self.v_re = {}
         self.v_im = {}
         self._layout = None     # ((name, shape), ...) the flat buffers follow
-        self._flat = None       # (m, v_re, v_im) flat buffers
+        self._flat = None       # (m, v) flat buffers
         self._slices = []       # (name, slice into the buffers, shape)
 
     def _build_layout(self, grads: dict, layout: tuple) -> None:
         total = sum(g.size for g in grads.values())
-        flat = (np.zeros(total, dtype=np.complex128), np.zeros(total), np.zeros(total))
+        m, v = np.zeros(total, dtype=np.complex128), np.zeros((total, 2))
         self._slices = []
         lo = 0
         for name, g in grads.items():
             sl = slice(lo, lo + g.size)
-            for buf, state in zip(flat, (self.m, self.v_re, self.v_im)):
+            for buf, state in zip((m, v[:, 0], v[:, 1]), (self.m, self.v_re, self.v_im)):
                 view = buf[sl].reshape(g.shape)
                 if name in state:
                     view[...] = state[name]
                 state[name] = view
             self._slices.append((name, sl, g.shape))
             lo += g.size
-        self._layout, self._flat = layout, flat
+        self._layout, self._flat = layout, (m, v)
 
     def step(self, params: dict, grads: dict):
         self.t += 1
@@ -386,15 +394,12 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        g = np.concatenate([arr.reshape(-1) for arr in grads.values()])
-        m, vr, vi = self._flat
+        g = np.concatenate([arr.reshape(-1) for arr in grads.values()], dtype=np.complex128)
+        m, v = self._flat
         np.add(b1 * m, (1 - b1) * g, out=m)
-        np.add(b2 * vr, (1 - b2) * g.real ** 2, out=vr)
-        np.add(b2 * vi, (1 - b2) * g.imag ** 2, out=vi)
-        mh = m / c1
-        upd = mh.real / (np.sqrt(vr / c2) + self.eps) \
-            + 1j * (mh.imag / (np.sqrt(vi / c2) + self.eps))
-        step = self.lr * upd
+        np.add(b2 * v, (1 - b2) * np.square(g.view(np.float64)).reshape(v.shape), out=v)
+        upd = m.view(np.float64).reshape(v.shape) * (1.0 / c1) / (np.sqrt(v / c2) + self.eps)
+        step = (self.lr * upd).view(np.complex128).reshape(-1)
         for name, sl, shape in self._slices:
             params[name] -= step[sl].reshape(shape)
 

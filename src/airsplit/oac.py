@@ -125,7 +125,7 @@ def power_normalize(block: np.ndarray, out: np.ndarray | None = None):
     """
     power = np.abs(block)
     np.square(power, out=power)
-    a = np.sqrt(np.mean(np.sum(power, axis=-2), axis=-1))
+    a = np.sqrt(np.add.reduce(np.add.reduce(power, axis=-2), axis=-1) / block.shape[-1])
     del power
     a = np.where(a != 0.0, a, 1.0)
     if out is None:
@@ -374,7 +374,7 @@ class OacLayer:
         del sent
         y, z = self._rx(received, a if self.forward_rescale else np.ones(self.k_total))
         if "b" in self.params:
-            y = y + self.params["b"][:, None]
+            y += self.params["b"][:, None]
         return y, Transcript(a=a, received=received, x=x, u=u,
                              z=z if self.rx_mode == "w0" else None)
 
@@ -403,13 +403,13 @@ class OacLayer:
         square = self.n_tx == self.n_rx
         received = transmit_backward(channel, back, noise, rng, out=back if square else None)
         del back
-        undo = a_tilde if self.backward_rescale else ones
         stream_grads = np.conj(received)
         # Real per-use scales act on the float view, with the bytes of
-        # undo * stream_grads / t.a up to the sign of exact zeros (see
-        # power_normalize).
+        # a_tilde * stream_grads / t.a up to the sign of exact zeros (see
+        # power_normalize); without backward_rescale there is no a_tilde.
         floats = stream_grads.view(np.float64)
-        floats *= undo[:, None, None]
+        if self.backward_rescale:
+            floats *= a_tilde[:, None, None]
         floats *= (1.0 / t.a)[:, None, None]
         g_x, tx_grads = self._tx_adjoint(t, stream_grads)
         grads.update(tx_grads)

@@ -31,6 +31,66 @@ def weak_projector(m, r):
     return weak @ weak.conj().T
 
 
+# -- node layers --------------------------------------------------------------
+
+class PartwiseBatchNorm:
+    """ComplexBatchNorm written part by part: each part's statistics from
+    numpy's mean and var of its strided view, xhat recombined as u + 1j * v,
+    and each part's gradient through its own batch-statistics correction."""
+
+    def __init__(self, n, momentum=0.1, eps=1e-8):
+        self.n, self.momentum, self.eps = n, momentum, eps
+        self.gamma = np.ones(n, dtype=np.complex128)
+        self.beta = np.zeros(n, dtype=np.complex128)
+        self.running_mean = np.zeros(n, dtype=np.complex128)
+        self.running_var_re = np.ones(n)
+        self.running_var_im = np.ones(n)
+
+    def forward(self, x, train=True):
+        axes = (1,) if x.ndim == 2 else (0, 2, 3)
+        shape = (self.n, 1) if x.ndim == 2 else (1, self.n, 1, 1)
+        if train:
+            mu_re, mu_im = x.real.mean(axis=axes), x.imag.mean(axis=axes)
+            var_re, var_im = x.real.var(axis=axes), x.imag.var(axis=axes)
+            m = self.momentum
+            self.running_mean += m * ((mu_re + 1j * mu_im) - self.running_mean)
+            self.running_var_re += m * (var_re - self.running_var_re)
+            self.running_var_im += m * (var_im - self.running_var_im)
+        else:
+            mu_re, mu_im = self.running_mean.real, self.running_mean.imag
+            var_re, var_im = self.running_var_re, self.running_var_im
+        s_re = np.sqrt(var_re + self.eps)
+        s_im = np.sqrt(var_im + self.eps)
+        u = (x.real - mu_re.reshape(shape)) / s_re.reshape(shape)
+        v = (x.imag - mu_im.reshape(shape)) / s_im.reshape(shape)
+        xhat = u + 1j * v
+        y = self.gamma.reshape(shape) * xhat + self.beta.reshape(shape)
+        return y, (xhat, s_re, s_im, axes, shape, train)
+
+    def backward(self, cache, g):
+        xhat, s_re, s_im, axes, shape, train = cache
+        g_gamma = (g * xhat.conj()).sum(axis=axes)
+        g_beta = g.sum(axis=axes)
+        g_hat = self.gamma.conj().reshape(shape) * g
+        s_re, s_im = s_re.reshape(shape), s_im.reshape(shape)
+        if not train:
+            return g_hat.real / s_re + 1j * g_hat.imag / s_im, g_gamma, g_beta
+        count = int(np.prod([g.shape[a] for a in axes]))
+
+        def through(h, u, s):
+            corr = h - h.mean(axis=axes).reshape(shape) \
+                - u * ((h * u).sum(axis=axes).reshape(shape) / count)
+            return corr / s
+
+        g_x = through(g_hat.real, xhat.real, s_re) + 1j * through(g_hat.imag, xhat.imag, s_im)
+        return g_x, g_gamma, g_beta
+
+
+def partwise_crelu(x):
+    """ReLU on each part, recombined as re + 1j * im."""
+    return x.real * (x.real > 0) + 1j * (x.imag * (x.imag > 0))
+
+
 # -- finite differences -------------------------------------------------------
 
 def fd_gradient(f, z, eps=1e-6):

@@ -76,6 +76,29 @@ def test_configs_the_math_cannot_honour_fail_by_name(field, values):
         config_from_dict(json.loads(json.dumps(record)))
 
 
+@pytest.mark.parametrize("path", [
+    "n_nodes", "n_tx", "n_rx", "n_paths", "channel_seed", "data.n_features",
+    "data.n_classes", "data.train_per_class", "data.test_per_class", "data.seed",
+    "train.batch_size", "train.steps", "train.eval_every", "train.log_every",
+])
+@pytest.mark.parametrize("value", [2.5, 4.0, "4", -1])
+def test_integer_fields_take_integers_only(path, value):
+    cfg = _with_field(preset("moving_3node"), path, value)
+    with pytest.raises(ConfigError, match=rf"^{path}: {value!r} must be an integer >= "):
+        validate_config(cfg)
+    validate_config(_with_field(cfg, path, np.int64(4)))
+
+
+@pytest.mark.parametrize("sizes", [dict(n_i=6.5), dict(batch="2"), dict(r=0),
+                                   dict(n_ci=2, n_co=2, n_k=3, n_hi=4, n_wi=4, n_ho=4, n_wo=1.5)],
+                         ids=str)
+def test_layer_spec_sizes_take_integers_only(sizes):
+    fields = {**dict(n_i=6, n_o=6, n_t=4, n_r=4, r=3), **sizes}
+    name = next(k for k, v in sizes.items() if not (isinstance(v, int) and v >= 1))
+    with pytest.raises(ConfigError, match=rf"^{name}: .* must be an integer >= 1"):
+        LayerSpec(**fields)
+
+
 def test_an_infinite_comm_weight_fails_by_name(tmp_path):
     # It used to pass validation, and the run ended diverged@1.
     cfg = dataclasses.replace(preset("sparse_3node"), comm_weight=INF)

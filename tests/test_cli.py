@@ -41,6 +41,26 @@ def test_an_item_without_equals_is_rejected_by_name(argv, item, capsys):
     assert record["message"] == f"override {item!r}: expected key=value"
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["cost", "n_i=6.5", "n_o=6", "n_t=4", "n_r=4", "r=3"], "n_i"),
+    (["cost", "n_i=6", "n_o=6", "n_t=4", "n_r=4", "r=3", "n_ci=1", "n_co=2", "n_k=3",
+      "n_hi=4", "n_wi=4", "n_ho=4", "n_wo=4.0"], "n_wo"),
+    (["run", "complex_2node", "--override", "train.steps=2.5"], "train.steps"),
+    (["run", "complex_2node", "--override", "n_paths=2.5"], "n_paths"),
+], ids=str)
+def test_a_non_integer_size_fails_by_name_before_any_output(argv, field, tmp_path, capsys):
+    # These printed a table header and then failed on a format code, recorded
+    # failed:TypeError for every run, or failed inside numpy, with exit 1.
+    if argv[0] == "run":
+        argv = argv + ["--out-dir", str(tmp_path / "out")]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    record = json.loads(err)
+    assert rc == 2 and out == "" and record["error"] == "config"
+    assert f"{field}: " in record["message"] and "must be an integer" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_executes_a_small_sweep(tmp_path, capsys):
     rc = main([
         "run", "complex_2node", "--seed", "0", "--out-dir", str(tmp_path),

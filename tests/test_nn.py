@@ -123,6 +123,63 @@ def test_crelu_masks_parts_independently():
     np.testing.assert_array_equal(g_x, np.array([[1.0, 1.0j, 0.0]]))
 
 
+def _with_planted_zeros(rng, shape):
+    """Complex normals off the origin, with exact +0.0 and -0.0 planted in
+    both parts of about one entry in six."""
+    z = 0.7 - 0.4j + crandn(rng, shape, var=3.0)
+    flat = z.reshape(-1)
+    picks = rng.choice(flat.size, size=max(4, flat.size // 6), replace=False)
+    flat.real[picks[0::4]] = 0.0
+    flat.real[picks[1::4]] = -0.0
+    flat.imag[picks[2::4]] = 0.0
+    flat.imag[picks[3::4]] = -0.0
+    return z
+
+
+@pytest.mark.parametrize("shape", [(16, 64), (64, 64), (2, 3, 4, 4)], ids=str)
+def test_batchnorm_is_byte_equal_to_the_partwise_form(shape):
+    # The float-view passes against the part-wise formulas in _oracles, over
+    # a train pass, an eval pass on the running statistics it left and a
+    # second train pass, with zeros planted in x and in the upstream g.
+    rng = make_rng(90)
+    n = shape[0] if len(shape) == 2 else shape[1]
+    bn, ref = ComplexBatchNorm(n), oracles.PartwiseBatchNorm(n)
+    for layer in (bn, ref):
+        layer.gamma[...] = crandn(make_rng(91), n) + 1.0
+        layer.beta[...] = crandn(make_rng(92), n)
+    for train in (True, False, True):
+        x, g = _with_planted_zeros(rng, shape), _with_planted_zeros(rng, shape)
+        y, cache = bn.forward(x, train=train)
+        y_ref, cache_ref = ref.forward(x, train=train)
+        g_x, grads = bn.backward(cache, g)
+        g_x_ref, g_gamma_ref, g_beta_ref = ref.backward(cache_ref, g)
+        for got, want in [(y, y_ref), (g_x, g_x_ref), (grads["gamma"], g_gamma_ref),
+                          (grads["beta"], g_beta_ref), (bn.running_mean, ref.running_mean),
+                          (bn.running_var_re, ref.running_var_re),
+                          (bn.running_var_im, ref.running_var_im)]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), train
+
+
+@pytest.mark.parametrize("shape", [(16, 64), (2, 3, 4, 4)], ids=str)
+def test_crelu_matches_the_partwise_form_and_keeps_the_sign_of_each_part(shape):
+    # Values equal the part-wise re * (re > 0) + 1j * (im * (im > 0)); each
+    # part zeroed is that part times 0.0, so -0.0 exactly where it is negative
+    # or -0.0, where the part-wise recombination can write +0.0.
+    rng = make_rng(93)
+    x, g = _with_planted_zeros(rng, shape), _with_planted_zeros(rng, shape)
+    layer = CRelu()
+    y, cache = layer.forward(x)
+    g_x, _ = layer.backward(cache, g)
+    np.testing.assert_array_equal(y, oracles.partwise_crelu(x))
+    np.testing.assert_array_equal(g_x, g.real * (x.real > 0) + 1j * (g.imag * (x.imag > 0)))
+    for got, kept, by in [(y.real, x.real, x.real), (y.imag, x.imag, x.imag),
+                          (g_x.real, g.real, x.real), (g_x.imag, g.imag, x.imag)]:
+        zeroed = ~(by > 0)
+        assert np.all(got[zeroed] == 0.0)
+        np.testing.assert_array_equal(np.signbit(got[zeroed]), np.signbit(kept[zeroed]))
+        assert got[~zeroed].tobytes() == kept[~zeroed].tobytes()
+
+
 def test_avgpool_global_and_windowed():
     x = crandn(make_rng(45), (2, 3, 4, 4))
     y, _ = AvgPool2d("global").forward(x)
