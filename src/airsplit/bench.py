@@ -175,43 +175,34 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def _build_section(cls, record: dict, path: str):
+    """cls(**record), with errors that name path, or at the top level
+    (path "") the field alone."""
     if not isinstance(record, dict):
-        raise ConfigError(f"{path}: expected an object")
+        raise ConfigError(f"{path or 'config'}: expected an object")
     known = {f.name for f in dataclasses.fields(cls)}
     for key in record:
         if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown field")
+            raise ConfigError(f"{path}.{key}: unknown field" if path else f"{key}: unknown field")
     try:
         return cls(**record)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path or 'config'}: {exc}") from None
+
+
+def _json_ints(values) -> tuple:
+    # JSON may spell an integer 2.0; 2.7 stays as it is and fails validation.
+    return tuple(int(v) if isinstance(v, float) and v.is_integer() else v for v in values)
 
 
 def config_from_dict(record: dict) -> ExperimentConfig:
-    if not isinstance(record, dict):
-        raise ConfigError("config: expected an object")
-    record = dict(record)
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    for key in record:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown field")
-    if "data" in record:
-        record["data"] = _build_section(DataConfig, record["data"], "data")
-    if "train" in record:
-        record["train"] = _build_section(TrainConfig, record["train"], "train")
-    if "snr_values" in record:
-        record["snr_values"] = tuple(
-            _snr_from_json(v, "snr_values") for v in record["snr_values"])
-    for key in ("r_values", "seeds"):
-        if key in record:
-            # JSON may spell an integer 2.0; 2.7 stays as it is and fails validation.
-            record[key] = tuple(int(v) if isinstance(v, float) and v.is_integer() else v
-                                for v in record[key])
-    try:
-        cfg = ExperimentConfig(**record)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    return validate_config(cfg)
+    cfg = _build_section(ExperimentConfig, record, "")
+    sections = {name: _build_section(cls, record[name], name)
+                for name, cls in (("data", DataConfig), ("train", TrainConfig))
+                if name in record}
+    return validate_config(dataclasses.replace(
+        cfg, **sections,
+        snr_values=tuple(_snr_from_json(v, "snr_values") for v in cfg.snr_values),
+        r_values=_json_ints(cfg.r_values), seeds=_json_ints(cfg.seeds)))
 
 
 def apply_overrides(record: dict, overrides) -> dict:
@@ -378,8 +369,8 @@ def build_system(cfg: ExperimentConfig, r: int, snr_db: float, seed: int,
 # -- runs ---------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
+    if isinstance(value, (str, bool)):
+        return str(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -399,6 +390,12 @@ def _write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _write_json(path, record) -> None:
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _single_run(cfg: ExperimentConfig, ds: Dataset, channels: list, r: int,
@@ -457,9 +454,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list:
     if (out / "channels").is_dir() and not any((out / "channels").iterdir()):
         (out / "channels").rmdir()
     runs_dir.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.json", "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "config.json", config_to_dict(cfg))
     ds = generate_dataset(cfg.data)
     n_links = cfg.n_nodes - 1
     channels = []

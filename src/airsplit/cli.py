@@ -3,8 +3,10 @@
 Subcommands: run (train a configured sweep), cost (accounting tables),
 regret (noisy online-optimization study), verify (built-in consistency
 checks).  Every key=value argument goes through bench.apply_overrides, the
-parser run uses.  Failures print a one-line JSON error record to stderr and
-exit nonzero (2 for bad configuration, 1 otherwise).
+parser run uses, and every file through bench._write_csv or
+bench._write_json, the writers run uses.  Failures print a one-line JSON
+error record to stderr and exit nonzero (2 for bad configuration, 1
+otherwise).
 """
 from __future__ import annotations
 
@@ -15,8 +17,8 @@ import sys
 from pathlib import Path
 
 from .bench import (ConfigError, LayerSpec, PRESET_NAMES, _build_section,
-                    apply_overrides, config_from_dict, config_to_dict,
-                    cost_comparison, cost_report, preset)
+                    _write_csv, _write_json, apply_overrides, config_from_dict,
+                    config_to_dict, cost_comparison, cost_report, preset)
 from .runtime import RegretConfig, regret_experiment
 from .verify import verify_all
 
@@ -111,18 +113,13 @@ def _cmd_cost(args) -> int:
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "cost.csv", "w") as fh:
-            fh.write("kind,side,form,parameters,macs,transmissions\n")
-            for row in rows:
-                fh.write(f"{row.kind},{row.side},{row.form},{row.parameters},"
-                         f"{row.macs},{row.transmissions}\n")
-        with open(out / "comparison.csv", "w") as fh:
-            fh.write("algorithm,transmission_factor,transmission_bound,"
-                     "estimation_factor,estimation_bound\n")
-            for row in comp:
-                fh.write(f"{row.algorithm},{row.transmission_factor!r},"
-                         f"{row.transmission_bound},{row.estimation_factor!r},"
-                         f"{row.estimation_bound}\n")
+        header = ("kind", "side", "form", "parameters", "macs", "transmissions")
+        _write_csv(out / "cost.csv", header,
+                   [[getattr(row, k) for k in header] for row in rows])
+        header = ("algorithm", "transmission_factor", "transmission_bound",
+                  "estimation_factor", "estimation_bound")
+        _write_csv(out / "comparison.csv", header,
+                   [[getattr(row, k) for k in header] for row in comp])
     return 0
 
 
@@ -146,14 +143,9 @@ def _cmd_regret(args) -> int:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         mean_curve = result.avg_regret.mean(axis=1)
-        with open(out / "regret_curves.csv", "w") as fh:
-            names = ",".join(f"sigma_{s}" for s in cfg.sigmas)
-            fh.write(f"t,{names}\n")
-            for j, t in enumerate(result.ts):
-                vals = ",".join(repr(float(mean_curve[i, j]))
-                                for i in range(len(cfg.sigmas)))
-                fh.write(f"{int(t)},{vals}\n")
-        summary = {
+        _write_csv(out / "regret_curves.csv", ("t", *(f"sigma_{s}" for s in cfg.sigmas)),
+                   [(int(t), *col) for t, col in zip(result.ts, mean_curve.T)])
+        _write_json(out / "regret_summary.json", {
             "sigmas": list(cfg.sigmas),
             "slopes": [float(s) for s in result.slopes],
             "final": [float(v) for v in result.final],
@@ -164,10 +156,7 @@ def _cmd_regret(args) -> int:
             "diameter": result.diameter,
             "grad_bound": result.grad_bound,
             "diverged": result.diverged,
-        }
-        with open(out / "regret_summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
         print(f"artifacts in {out}")
     return 1 if result.diverged else 0
 

@@ -52,29 +52,20 @@ _CRANDN_SCRATCH = 1 << 16
 _ADD_CRANDN_SCRATCH = 1 << 13
 
 
-def _draw_normals(rng: np.random.Generator, parts, scale: float, buf: np.ndarray) -> None:
-    """Write scale times the next standard normals of rng into the 1-D float
-    arrays of parts, in order.
+def _draw_normals(rng: np.random.Generator, part: np.ndarray, scale: float,
+                  buf: np.ndarray) -> None:
+    """Write scale times the next part.size standard normals of rng into the
+    1-D float array part.
 
     The normals are drawn through the float scratch buf in pieces of at most
-    buf.size, which may straddle parts; a normal stream drawn in pieces equals
-    the stream drawn at once, so the bytes do not depend on buf.size.  Every
-    array this writes is passed in: it allocates no array data of its own.
+    buf.size; a normal stream drawn in pieces equals the stream drawn at once,
+    so the bytes do not depend on buf.size.  It allocates no array data of its
+    own.
     """
-    parts = [p for p in parts if p.size]
-    total = sum(p.size for p in parts)
-    i = j = 0                        # the part the stream is in, and the offset in it
-    for lo in range(0, total, max(buf.size, 1)):
-        piece = buf[:min(buf.size, total - lo)]
+    for lo in range(0, part.size, max(buf.size, 1)):
+        piece = buf[:min(buf.size, part.size - lo)]
         rng.standard_normal(out=piece)
-        at = 0
-        while at < piece.size:
-            dst = parts[i][j:j + piece.size - at]
-            np.multiply(piece[at:at + dst.size], scale, out=dst)
-            at += dst.size
-            j += dst.size
-            if j == parts[i].size:
-                i, j = i + 1, 0
+        np.multiply(piece, scale, out=part[lo:lo + piece.size])
 
 
 def crandn(rng: np.random.Generator, shape, var: float = 1.0,
@@ -83,11 +74,12 @@ def crandn(rng: np.random.Generator, shape, var: float = 1.0,
 
     Real and imaginary parts are independent N(0, var/2).  The real block is
     drawn before the imaginary block so the draw order is part of the
-    contract.  Both blocks are drawn in pieces through a float scratch of at
-    most _CRANDN_SCRATCH entries straight into the complex result; a normal
-    stream drawn in pieces equals the stream drawn at once, so for var > 0
-    the bytes equal scale * (re + 1j * im) from the same two draws (at
-    var = 0 only the signs of zeros may differ).
+    contract.  Each block is drawn (_draw_normals) in pieces through one float
+    scratch of at most _CRANDN_SCRATCH entries, and no larger than one block,
+    straight into its part of the complex result; a normal stream drawn in
+    pieces equals the stream drawn at once, so for var > 0 the bytes equal
+    scale * (re + 1j * im) from the same two draws (at var = 0 only the signs
+    of zeros may differ).
 
     out, if given, is a C-contiguous complex128 array of exactly `shape`
     that is filled in place and returned, so a caller can reuse one buffer
@@ -100,8 +92,9 @@ def crandn(rng: np.random.Generator, shape, var: float = 1.0,
         raise ValueError(f"out must be a C-contiguous complex128 array of shape "
                          f"{shape}, got {out.dtype} {out.shape}")
     flat = out.reshape(-1)
-    _draw_normals(rng, (flat.real, flat.imag), math.sqrt(var / 2.0),
-                  np.empty(min(2 * flat.size, _CRANDN_SCRATCH)))
+    scale, buf = math.sqrt(var / 2.0), np.empty(min(flat.size, _CRANDN_SCRATCH))
+    _draw_normals(rng, flat.real, scale, buf)
+    _draw_normals(rng, flat.imag, scale, buf)
     return out if out.ndim else out[()]
 
 

@@ -375,10 +375,10 @@ def _draw_chunk(rng: np.random.Generator, a: np.ndarray, var: float,
     flat = a.reshape(-1)
     per_step = flat.size // a.shape[0]
     scale = math.sqrt(var / 2.0)
-    _draw_normals(rng, (flat.real,), scale, buf)
+    _draw_normals(rng, flat.real, scale, buf)
     for lo in range(0, a.shape[0], _REGRET_BLOCK):
         hi = min(lo + _REGRET_BLOCK, a.shape[0])
-        _draw_normals(rng, (flat.imag[lo * per_step:hi * per_step],), scale, buf)
+        _draw_normals(rng, flat.imag[lo * per_step:hi * per_step], scale, buf)
         landed(hi)
 
 

@@ -140,6 +140,27 @@ def test_config_from_dict_rejects_unknown_fields():
         config_from_dict(record)
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda rec: rec.update(n_antennas=4), "n_antennas: unknown field"),
+    (lambda rec: rec["data"].update(noise=1.0), "data.noise: unknown field"),
+    (lambda rec: rec["train"].update(momentum=0.9), "train.momentum: unknown field"),
+    (lambda rec: rec.update(data=[1, 2]), "data: expected an object"),
+    (lambda rec: rec.update(train="fast"), "train: expected an object"),
+], ids=["top", "data", "train", "data-list", "train-str"])
+def test_config_from_dict_names_the_field_it_rejects(change, message):
+    record = config_to_dict(ExperimentConfig())
+    change(record)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(record)
+    assert str(err.value) == message
+
+
+def test_config_from_dict_rejects_a_non_object():
+    with pytest.raises(ConfigError) as err:
+        config_from_dict([("name", "x")])
+    assert str(err.value) == "config: expected an object"
+
+
 def test_apply_overrides():
     record = config_to_dict(ExperimentConfig())
     out = apply_overrides(record, ["train.lr=0.01", "name=swept",

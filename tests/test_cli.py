@@ -22,6 +22,27 @@ def test_cost_prints_every_design_and_writes_csv(tmp_path, capsys):
     assert (tmp_path / "comparison.csv").exists()
 
 
+def test_cost_files_are_the_shared_csv_format(tmp_path, capsys):
+    # Bools as True/False and floats as repr, as the run files write them.
+    rc = main(["cost", "n_i=6", "n_o=6", "n_t=4", "n_r=4", "r=3",
+               "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    assert (tmp_path / "cost.csv").read_text() == (
+        "kind,side,form,parameters,macs,transmissions\n"
+        "fc,transmitter,combined,60,72,2\n"
+        "fc,transmitter,separated,60,84,2\n"
+        "fc,receiver,combined,60,72,2\n"
+        "fc,receiver,separated,60,84,2\n")
+    assert (tmp_path / "comparison.csv").read_text() == (
+        "algorithm,transmission_factor,transmission_bound,estimation_factor,"
+        "estimation_bound\n"
+        "traditional,1.0,False,1.0,False\n"
+        "mimo_split,0.3333333333333333,False,0.3333333333333333,False\n"
+        "ideal,0.020833333333333332,True,0.020833333333333332,True\n"
+        "proposed,0.020833333333333332,True,0.0,False\n")
+
+
 def test_cost_rejects_unknown_size(capsys):
     rc = main(["cost", "n_i=6", "n_o=6", "n_t=4", "n_r=4", "r=3", "n_q=2"])
     err = capsys.readouterr().err
@@ -94,9 +115,20 @@ def test_regret_reports_slopes_and_writes_artifacts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("sigma=") == 3 and "measured" in out
-    curves = (tmp_path / "regret_curves.csv").read_text().splitlines()
+    text = (tmp_path / "regret_curves.csv").read_text()
+    curves = text.splitlines()
+    assert text.endswith("\n") and "\r" not in text
     assert curves[0] == "t,sigma_0.0,sigma_0.1,sigma_0.3"
-    summary = json.loads((tmp_path / "regret_summary.json").read_text())
+    ts = []
+    for line in curves[1:]:
+        t, *vals = line.split(",")
+        assert t == str(int(t)) and len(vals) == 3
+        assert all(v == repr(float(v)) for v in vals)
+        ts.append(int(t))
+    assert ts == sorted(set(ts)) and ts[-1] == 300
+    text = (tmp_path / "regret_summary.json").read_text()
+    summary = json.loads(text)
+    assert text == json.dumps(summary, indent=2, sort_keys=True) + "\n"
     assert len(summary["slopes"]) == 3 and not summary["diverged"]
 
 

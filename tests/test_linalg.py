@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from airsplit import linalg
 from airsplit.linalg import (
     DecompositionError, add_crandn, crandn, make_rng, matrix_rank, pinv,
     require_finite, spectral_norm, svd,
 )
+from airsplit.runtime import _draw_chunk
 
 
 def test_make_rng_streams_are_reproducible_and_distinct():
@@ -58,6 +60,32 @@ def test_crandn_out_fills_the_two_draw_formula_through_bounded_scratch(shape):
     else:
         assert type(z) is type(ref)
     assert buf.tobytes() == np.asarray(ref).tobytes()
+    assert rng.standard_normal() == twin.standard_normal()
+
+
+@pytest.mark.parametrize("shape", [(), 3, 7, 8, 15, (3, 5), (2, 3, 4)])
+def test_crandn_through_a_7_float_scratch_is_the_two_draw_formula(shape, monkeypatch):
+    # Pieces smaller than, equal to and straddling each block: the real block
+    # still comes first and the stream ends where two whole draws end.
+    monkeypatch.setattr(linalg, "_CRANDN_SCRATCH", 7)
+    var = 2.5
+    rng, twin = make_rng(14, 2), make_rng(14, 2)
+    z = crandn(rng, shape, var)
+    re = twin.standard_normal(shape)
+    im = twin.standard_normal(shape)
+    ref = math.sqrt(var / 2.0) * (re + 1j * im)
+    assert np.asarray(z).tobytes() == np.asarray(ref).tobytes()
+    assert rng.standard_normal() == twin.standard_normal()
+
+
+def test_draw_chunk_through_a_7_float_buf_writes_the_crandn_bytes():
+    var = 1.0 / 8
+    rng, twin = make_rng(16, 1), make_rng(16, 1)
+    a = np.full((130, 2, 3), np.nan + 1j, dtype=np.complex128)
+    landed = []
+    _draw_chunk(rng, a, var, np.empty(7), landed.append)
+    assert landed == [64, 128, 130]
+    assert a.tobytes() == crandn(twin, a.shape, var).tobytes()
     assert rng.standard_normal() == twin.standard_normal()
 
 
