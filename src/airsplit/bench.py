@@ -620,19 +620,22 @@ class CostComparisonRow:
     estimation_bound: bool
 
 
-def cost_comparison(r: int, symbols_per_value: int = 16) -> list:
+# Symbols a digital link spends on one complex value: the paper's figure,
+# behind the 1/(16 r) factors of its cost comparison.
+SYMBOLS_PER_VALUE = 16
+
+
+def cost_comparison(r: int) -> list:
     """Relative transmission and channel-estimation costs of four schemes.
 
     The analog schemes move one complex value per stream per use, while a
-    digital link spends symbols_per_value symbols on it, hence the 1/(16 r)
-    style factors.  The reciprocity-trained scheme never estimates the
-    channel at all.
+    digital link spends SYMBOLS_PER_VALUE symbols on it, hence the 1/(16 r)
+    factors.  The reciprocity-trained scheme never estimates the channel at
+    all.
     """
     if r < 1:
         raise ConfigError("r: must be >= 1")
-    if symbols_per_value < 1:
-        raise ConfigError("symbols_per_value: must be >= 1")
-    q = float(symbols_per_value * r)
+    q = float(SYMBOLS_PER_VALUE * r)
     return [
         CostComparisonRow("traditional", "network", 1.0, False, 1.0, False),
         CostComparisonRow("mimo_split", "network+mixing", 1.0 / r, False,

@@ -25,9 +25,9 @@ __all__ = [
     "require_finite",
 ]
 
-# Relative singular-value cutoff used when inverting.
+# Relative singular-value cutoff pinv uses when inverting.
 DEFAULT_TRUNCATION = 1e-10
-# Relative cutoff used when counting rank.
+# Relative cutoff matrix_rank uses when counting rank.
 RANK_TOLERANCE = 1e-8
 
 
@@ -103,14 +103,16 @@ def add_crandn(rng: np.random.Generator, out: np.ndarray, var: float) -> None:
     in place and in C order of the blocks: the sums and the final stream
     position equal those of one crandn call per block.
 
-    Whole blocks go through a float scratch of _ADD_CRANDN_SCRATCH entries
-    (one block, if larger): one standard_normal draw, block by block and real
-    part before imaginary part, one scale, one add into the (re, im) float
-    view.  A non-C-contiguous out is worked on in a copy that is written back.
+    out must be C-contiguous; any other layout raises ValueError before the
+    stream moves.  Whole blocks go through a float scratch of
+    _ADD_CRANDN_SCRATCH entries (one block, if larger): one standard_normal
+    draw, block by block and real part before imaginary part, one scale, one
+    add into the (re, im) float view.
     """
-    work = out if out.flags.c_contiguous else np.ascontiguousarray(out)
+    if not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous, got a strided {out.shape} array")
     count, size = math.prod(out.shape[:-2]), math.prod(out.shape[-2:])
-    blocks = work.reshape(count, size, 1).view(np.float64).transpose(0, 2, 1)  # (count, 2, size)
+    blocks = out.reshape(count, size, 1).view(np.float64).transpose(0, 2, 1)  # (count, 2, size)
     per = max(1, _ADD_CRANDN_SCRATCH // max(2 * size, 1))
     buf = np.empty((min(per, count), 2, size))
     for lo in range(0, count, per):
@@ -118,8 +120,6 @@ def add_crandn(rng: np.random.Generator, out: np.ndarray, var: float) -> None:
         rng.standard_normal(out=piece)
         piece *= math.sqrt(var / 2.0)
         np.add(blocks[lo:lo + len(piece)], piece, out=blocks[lo:lo + len(piece)])
-    if work is not out:
-        out[...] = work
 
 
 def svd(m: np.ndarray, hermitian: bool = False):
@@ -155,30 +155,28 @@ def svd(m: np.ndarray, hermitian: bool = False):
     return u, s, v
 
 
-def pinv(m: np.ndarray, tol: float = DEFAULT_TRUNCATION) -> np.ndarray:
+def pinv(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with relative truncation.
 
-    Singular values at or below tol * s_max are treated as zero.  tol must be
-    non-negative.  A zero matrix maps to a zero matrix.
+    Singular values at or below DEFAULT_TRUNCATION * s_max are treated as
+    zero.  A zero matrix maps to a zero matrix.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
     m = np.asarray(m, dtype=np.complex128)
     u, s, v = svd(m)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    keep = s > tol * s[0]
+    keep = s > DEFAULT_TRUNCATION * s[0]
     s_inv = np.zeros_like(s)
     s_inv[keep] = 1.0 / s[keep]
     return (v * s_inv) @ u.conj().T
 
 
-def matrix_rank(m: np.ndarray, tol: float = RANK_TOLERANCE) -> int:
-    """Number of singular values above tol * s_max."""
+def matrix_rank(m: np.ndarray) -> int:
+    """Number of singular values above RANK_TOLERANCE * s_max."""
     s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > RANK_TOLERANCE * s[0]))
 
 
 def spectral_norm(m: np.ndarray) -> float:

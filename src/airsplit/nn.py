@@ -143,14 +143,18 @@ class ComplexBatchNorm:
 
     Both passes work in place on the real and imaginary part views of one
     complex array with the part-wise floating-point operations (sums over
-    each strided part, division by each part's s = sqrt(var + eps)): the
+    each strided part, division by each part's s = sqrt(var + EPS)): the
     bytes of u + 1j * v, save that a zero part of xhat or g_x keeps its sign.
     """
 
-    def __init__(self, n_features: int, momentum: float = 0.1, eps: float = 1e-8):
+    # The standard batch-norm settings (Ioffe and Szegedy, 2015): the running
+    # statistics move MOMENTUM of the way to each batch's, and EPS keeps
+    # sqrt(var + EPS) away from zero.
+    MOMENTUM = 0.1
+    EPS = 1e-8
+
+    def __init__(self, n_features: int):
         self.n = n_features
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = np.ones(n_features, dtype=np.complex128)
         self.beta = np.zeros(n_features, dtype=np.complex128)
         self.running_mean = np.zeros(n_features, dtype=np.complex128)
@@ -176,13 +180,13 @@ class ComplexBatchNorm:
             for part, out in zip(parts, var):
                 np.add.reduce(np.square(part), axis=axes, out=out)
             var /= x.size // self.n
-            m = self.momentum
+            m = self.MOMENTUM
             self.running_mean += m * (mu - self.running_mean)
             self.running_var_re += m * (var[0] - self.running_var_re)
             self.running_var_im += m * (var[1] - self.running_var_im)
         else:
             var = np.stack((self.running_var_re, self.running_var_im))
-        s = np.sqrt(var + self.eps).reshape((2,) + shape)
+        s = np.sqrt(var + self.EPS).reshape((2,) + shape)
         for part, s_part in zip(parts, s):
             np.divide(part, s_part, out=part)
         y = self.gamma.reshape(shape) * xhat
@@ -231,33 +235,17 @@ class CRelu:
 
 
 class AvgPool2d:
-    """Average pooling on (B, C, H, W); pool='global' collapses to 1x1."""
-
-    def __init__(self, pool="global"):
-        self.pool = pool
+    """Global average pooling: (B, C, H, W) -> (B, C, 1, 1)."""
 
     def parameters(self):
         return {}
 
     def forward(self, x, train=True):
-        b, c, h, w = x.shape
-        if self.pool == "global":
-            y = x.mean(axis=(2, 3), keepdims=True)
-            return y, {"shape": x.shape, "count": h * w}
-        p = int(self.pool)
-        if h % p or w % p:
-            raise ValueError("spatial size must divide the pool size")
-        y = x.reshape(b, c, h // p, p, w // p, p).mean(axis=(3, 5))
-        return y, {"shape": x.shape, "count": p * p}
+        h, w = x.shape[2:]
+        return x.mean(axis=(2, 3), keepdims=True), {"shape": x.shape, "count": h * w}
 
     def backward(self, cache, g):
-        b, c, h, w = cache["shape"]
-        if self.pool == "global":
-            g_x = np.broadcast_to(g / cache["count"], cache["shape"]).copy()
-            return g_x, {}
-        p = int(self.pool)
-        g_x = np.repeat(np.repeat(g, p, axis=2), p, axis=3) / cache["count"]
-        return g_x, {}
+        return np.broadcast_to(g / cache["count"], cache["shape"]).copy(), {}
 
 
 class Flatten:
@@ -354,12 +342,14 @@ class Adam:
     make the bytes independent of the layout.
     """
 
-    def __init__(self, lr: float = 0.005, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    # The standard Adam settings (Kingma and Ba, 2015): decay rates of the
+    # first and second moments, and the floor added to sqrt(v).
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, lr: float = 0.005):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {}
         self.v_re = {}
@@ -391,28 +381,29 @@ class Adam:
         layout = tuple((name, g.shape) for name, g in grads.items())
         if layout != self._layout:
             self._build_layout(grads, layout)
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         g = np.concatenate([arr.reshape(-1) for arr in grads.values()], dtype=np.complex128)
         m, v = self._flat
         np.add(b1 * m, (1 - b1) * g, out=m)
         np.add(b2 * v, (1 - b2) * np.square(g.view(np.float64)).reshape(v.shape), out=v)
-        upd = m.view(np.float64).reshape(v.shape) * (1.0 / c1) / (np.sqrt(v / c2) + self.eps)
+        upd = m.view(np.float64).reshape(v.shape) * (1.0 / c1) / (np.sqrt(v / c2) + self.EPS)
         step = (self.lr * upd).view(np.complex128).reshape(-1)
         for name, sl, shape in self._slices:
             params[name] -= step[sl].reshape(shape)
 
 
-def numerical_gradient(loss_fn, params: dict, eps: float = 1e-6) -> dict:
-    """Central differences on real and imaginary parts of each parameter.
+def numerical_gradient(loss_fn, params: dict) -> dict:
+    """Central differences of step 1e-6 on real and imaginary parts of each
+    parameter.
 
     loss_fn() must evaluate the scalar loss using the arrays in params, which
     are perturbed in place and restored.  Returns gradients in the same
     conjugate convention as the analytic backward passes,
     0.5 * (dL/dRe + i dL/dIm).
     """
-    grads = {}
+    eps, grads = 1e-6, {}
     for name, p in params.items():
         g = np.zeros(p.shape, dtype=np.complex128)
         flat = p.reshape(-1)

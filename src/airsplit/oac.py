@@ -579,18 +579,17 @@ class OacConvLayer:
     position of the result is a channel vector, and those vectors ride the
     same over-the-air machinery as a dense layer with n_in = n_out = n_co.
     Mixing the kernels by a matrix before convolving and mixing the outputs
-    after are the same operation, which is what makes this exact.
+    after are the same operation, which is what makes this exact.  padding
+    goes to the Conv2d and bias to the mixing OacLayer, which rescales in
+    both directions.
     """
 
     def __init__(self, n_ci: int, n_co: int, nk: int, design: OacDesign,
                  n_tx: int, n_rx: int, r: int, rng: np.random.Generator,
-                 bias: bool = True, padding: str = "same",
-                 forward_rescale: bool = True, backward_rescale: bool = True):
+                 bias: bool = True, padding: str = "same"):
         from .nn import Conv2d
         self.conv = Conv2d(n_ci, n_co, nk, rng, bias=False, padding=padding)
-        self.mix = OacLayer(design, n_co, n_co, n_tx, n_rx, r, rng, bias=bias,
-                            forward_rescale=forward_rescale,
-                            backward_rescale=backward_rescale)
+        self.mix = OacLayer(design, n_co, n_co, n_tx, n_rx, r, rng, bias=bias)
         self.n_co = n_co
 
     def parameters(self) -> dict:

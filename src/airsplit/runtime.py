@@ -187,17 +187,16 @@ class BatchMetrics:
 class SplitSystem:
     """Alternating node networks and air links, trained end to end.
 
-    nodes: list of ComplexNet, one more than links.  The loss is applied to
-    the last node's output.  One node and no links is the centralized
-    reference network.
+    nodes: list of ComplexNet, one more than links.  modulus_softmax_loss is
+    applied to the last node's output.  One node and no links is the
+    centralized reference network.
     """
 
-    def __init__(self, nodes, links, loss=modulus_softmax_loss):
+    def __init__(self, nodes, links):
         if len(nodes) != len(links) + 1:
             raise ValueError("need exactly one more node than links")
         self.nodes = list(nodes)
         self.links = list(links)
-        self.loss = loss
 
     def parameters(self) -> dict:
         out = {}
@@ -261,7 +260,7 @@ class SplitSystem:
         for link in self.links:
             link.evolve()
         logits, ctx = self.forward(x, train=True)
-        loss, g, acc = self.loss(logits, labels)
+        loss, g, acc = modulus_softmax_loss(logits, labels)
         grads = self.backward(ctx, g)
         optimizer.step(self.parameters(), grads)
         comm = sum((link.comm_loss_value for link in self.links), 0.0)
@@ -285,7 +284,7 @@ class SplitSystem:
             xb = x[..., sl] if x.ndim == 2 else x[sl]
             yb = labels[sl]
             logits, _ = self.forward(xb, train=False)
-            loss, _, acc = self.loss(logits, yb)
+            loss, _, acc = modulus_softmax_loss(logits, yb)
             total_loss += loss * yb.shape[0]
             correct += acc * yb.shape[0]
         return total_loss / n, correct / n

@@ -147,7 +147,7 @@ def check_network_gradients():
     y, caches = net.forward(x, train=True)
     _, g, _ = modulus_softmax_loss(y, labels)
     _, grads = net.backward(caches, g)
-    want = numerical_gradient(loss, net.parameters(), eps=1e-6)
+    want = numerical_gradient(loss, net.parameters())
     for name in grads:
         _assert_close(grads[name], want[name], 5e-5, f"gradient of {name}")
 

@@ -487,7 +487,7 @@ def test_layer_spec_validation():
 
 
 def test_cost_comparison_factors():
-    rows = cost_comparison(4, symbols_per_value=16)
+    rows = cost_comparison(4)
     by_name = {row.algorithm: row for row in rows}
     assert isinstance(rows[0], CostComparisonRow)
     assert by_name["traditional"].transmission_factor == 1.0

@@ -96,13 +96,14 @@ def test_crandn_out_rejects_a_wrong_buffer(bad):
         crandn(make_rng(0), (4, 3), out=bad)
 
 
-def test_add_crandn_adds_one_crandn_draw_per_block_in_place():
+def test_add_crandn_rejects_a_strided_out_before_drawing():
     out = crandn(make_rng(13), (2, 3, 4, 6))[..., ::2]      # a strided (2, 3, 4, 3) view
-    rng, twin = make_rng(14), make_rng(14)
-    want = out + np.stack([crandn(twin, (4, 3), 0.5) for _ in range(6)]).reshape(out.shape)
-    add_crandn(rng, out, 0.5)
-    assert out.tobytes() == want.tobytes()
-    assert rng.bit_generator.state == twin.bit_generator.state
+    before, rng = out.copy(), make_rng(14)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="C-contiguous"):
+        add_crandn(rng, out, 0.5)
+    assert out.tobytes() == before.tobytes()
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("shape", [(4, 16, 64), (8, 64, 64), (4, 16, 256), (8, 64, 256),

@@ -202,13 +202,13 @@ def test_comm_penalty_moves_combiner_gradients():
     # backward, so no batch trains with an empty tracker.
     system_a.train_batch(x, labels, Adam(lr=0.0))
     logits, ctx = system_a.forward(x, train=True)
-    _, g, _ = system_a.loss(logits, labels)
+    _, g, _ = modulus_softmax_loss(logits, labels)
     grads_a = system_a.backward(ctx, g)
     assert link_a.comm_loss_value > 0.0
 
     system_b.train_batch(x, labels, Adam(lr=0.0))
     logits, ctx = system_b.forward(x, train=True)
-    _, g, _ = system_b.loss(logits, labels)
+    _, g, _ = modulus_softmax_loss(logits, labels)
     grads_b = system_b.backward(ctx, g)
     assert link_b.comm_loss_value == 0.0
     name = "link0.C"
@@ -383,7 +383,7 @@ def test_backward_consumes_ctx_and_frees_each_stage():
         return node0_backward(caches, g)
 
     system.nodes[0].backward = first_node_backward
-    _, g, _ = system.loss(logits, labels)
+    _, g, _ = modulus_softmax_loss(logits, labels)
     grads = system.backward(ctx, g)
     assert ctx == []
     # by the time the first node runs, both links' transcripts and backward
