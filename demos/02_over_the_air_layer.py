@@ -38,7 +38,7 @@ print()
 print("== installing a target weight ==")
 w_target = crandn(rng, (5, 5))
 layer = layer_from_weight(w_target, channel, OacDesign("transmitter", "combined"),
-                          r=3, rng=rng, bias=False)
+                          r=3, rng=rng)
 err = np.max(np.abs(equivalent_weight(layer, channel) - w_target))
 print(f"decomposed into {layer.k_total} uses, reinstalled error {err:.1e}")
 

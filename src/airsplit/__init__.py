@@ -7,20 +7,18 @@ backward pass rides the reverse direction of the same channel.
 """
 
 from .linalg import (DecompositionError, crandn, make_rng, matrix_rank, pinv,
-                     require_finite, spectral_norm, svd)
+                     spectral_norm, svd)
 from .channel import (NOISELESS, ChannelState, NoiseModel, PathSet,
-                      build_matrix, channel_from_dict, channel_snr,
-                      channel_to_dict, evolve_channel, load_channel,
-                      sample_channel, save_channel, transmit_backward,
-                      transmit_forward, wrap_angle)
+                      channel_from_dict, channel_snr, channel_to_dict,
+                      evolve_channel, sample_channel, save_channel,
+                      transmit_backward, transmit_forward, wrap_angle)
 from .nn import (Adam, AvgPool2d, ComplexBatchNorm, ComplexNet, Conv2d, CRelu,
                  Dense, Flatten, Sgd, modulus_softmax_loss, numerical_gradient)
 from .oac import (ALL_DESIGNS, ChannelRankError, FeasibilityError,
                   FeasibilityWarning, OacBackwardResult, OacConvLayer,
                   OacDesign, OacLayer, SnrReport, Transcript, decompose_weight,
                   equivalent_weight, feasible, ideal_matrices,
-                  layer_from_weight, mix_channels, mix_kernels,
-                  power_normalize, snr_report)
+                  layer_from_weight, power_normalize, snr_report)
 from .runtime import (BatchMetrics, CovarianceTracker, RegretConfig,
                       RegretResult, SplitLink, SplitSystem,
                       comm_loss_gradients, regret_experiment)

@@ -34,7 +34,6 @@ __all__ = [
     "NoiseModel",
     "NOISELESS",
     "wrap_angle",
-    "build_matrix",
     "sample_channel",
     "evolve_channel",
     "transmit_forward",
@@ -43,7 +42,6 @@ __all__ = [
     "channel_to_dict",
     "channel_from_dict",
     "save_channel",
-    "load_channel",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -87,16 +85,6 @@ class PathSet:
         return self.gains.size
 
 
-def build_matrix(paths: PathSet, n_tx: int, n_rx: int) -> np.ndarray:
-    """Assemble the forward matrix from path parameters.
-
-    The receive-side steering vector enters conjugated, the transmit-side one
-    plainly, so entry (m, q) is sum_n a_n e^{-j m theta_n} e^{j q phi_n}.
-    """
-    left, right = _factors(paths, n_tx, n_rx)
-    return left @ right.T
-
-
 def _factors(paths: PathSet, n_tx: int, n_rx: int):
     """(L, R), (n_rx, P) and (n_tx, P), with H = L @ R.T: the receive
     steering vectors times the gains, and the transmit steering vectors."""
@@ -107,11 +95,12 @@ def _factors(paths: PathSet, n_tx: int, n_rx: int):
 
 @dataclass(frozen=True)
 class ChannelState:
-    """A sampled channel: array sizes, paths, the cached matrix (equal to
-    build_matrix) and its spectral norm.  factors is (left, right), (n_rx, P)
-    and (n_tx, P) with left @ right.T equal to matrix, when the channel has
-    few paths for its array sizes, 2 P (n_tx + n_rx) < n_tx n_rx, and None
-    otherwise; transmission applies it when it is kept."""
+    """A sampled channel: array sizes, paths, the cached forward matrix H
+    (the path sum in the module docstring) and its spectral norm.  factors is
+    (left, right), (n_rx, P) and (n_tx, P) with left @ right.T equal to
+    matrix, when the channel has few paths for its array sizes,
+    2 P (n_tx + n_rx) < n_tx n_rx, and None otherwise; transmission applies
+    it when it is kept."""
 
     n_tx: int
     n_rx: int
@@ -328,8 +317,3 @@ def channel_from_dict(record: dict) -> ChannelState:
 def save_channel(state: ChannelState, path) -> None:
     with open(path, "w") as fh:
         json.dump(channel_to_dict(state), fh, indent=1)
-
-
-def load_channel(path) -> ChannelState:
-    with open(path) as fh:
-        return channel_from_dict(json.load(fh))

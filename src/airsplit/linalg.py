@@ -22,7 +22,6 @@ __all__ = [
     "pinv",
     "matrix_rank",
     "spectral_norm",
-    "require_finite",
 ]
 
 # Relative singular-value cutoff pinv uses when inverting.
@@ -183,9 +182,3 @@ def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value."""
     s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
     return float(s[0]) if s.size else 0.0
-
-
-def require_finite(name: str, arr: np.ndarray) -> None:
-    """Raise ValueError if arr contains NaN or Inf."""
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")

@@ -199,8 +199,9 @@ class ComplexBatchNorm:
                  "beta": np.add.reduce(g, axis=axes)}
         g_x = self.gamma.conj().reshape(shape) * g
         if not cache["train"]:
-            # As written: 1j * h / s is (1j * h) / s, whose imaginary part is h * (1 / s).
-            return g_x.real / s[0] + 1j * g_x.imag / s[1], grads
+            for h, s_part in zip((g_x.real, g_x.imag), s):
+                np.divide(h, s_part, out=h)
+            return g_x, grads
         # Per part, with h of gamma^* g and u of xhat: (h - mean h - u mean(h u)) / s;
         # the complex subtraction of the means subtracts part from part.
         count, pairs = g.size // self.n, ((g_x.real, xhat.real), (g_x.imag, xhat.imag))

@@ -65,8 +65,6 @@ __all__ = [
     "snr_report",
     "SnrReport",
     "OacConvLayer",
-    "mix_kernels",
-    "mix_channels",
 ]
 
 
@@ -440,7 +438,7 @@ def decompose_weight(w: np.ndarray, channel: ChannelState, k: int, r: int):
         raise FeasibilityError(
             f"k*r = {k * r} < min(n_in, n_out) = {min(n_in, n_out)}")
     side = "transmitter" if n_in >= n_out else "receiver"
-    layer = layer_from_weight(w, channel, OacDesign(side, "combined"), r, k=k, bias=False)
+    layer = layer_from_weight(w, channel, OacDesign(side, "combined"), r, k=k)
     err = np.linalg.norm(equivalent_weight(layer, channel) - w) / max(np.linalg.norm(w), 1e-300)
     if err > 1e-8:
         raise FeasibilityError(f"reconstruction failed, relative error {err:.2e}")
@@ -461,20 +459,20 @@ def ideal_matrices(channel: ChannelState, r: int):
 
 
 def layer_from_weight(w: np.ndarray, channel: ChannelState, design: OacDesign, r: int,
-                      rng: np.random.Generator | None = None, bias: bool = True,
-                      **kwargs) -> OacLayer:
-    """Build a layer whose noiseless response equals the given weight.
+                      rng: np.random.Generator | None = None,
+                      k: int | None = None) -> OacLayer:
+    """Build a bias-free layer whose noiseless response equals the given weight.
 
     The slim matrices come from the channel's dominant singular subspace;
     the bulk parameters are solved so W_eff == w exactly (channel rank >= r
-    required).
+    required).  k is the number of channel uses, as in OacLayer.
     """
     w = np.asarray(w, dtype=np.complex128)
     n_out, n_in = w.shape
     if rng is None:
         rng = np.random.default_rng(0)
     layer = OacLayer(design, n_in, n_out, channel.n_tx, channel.n_rx, r, rng,
-                     bias=bias, **kwargs)
+                     k=k, bias=False)
     h = channel.matrix
     if matrix_rank(h) < r:
         raise ChannelRankError(f"channel rank {matrix_rank(h)} < r = {r}")
@@ -498,8 +496,6 @@ def layer_from_weight(w: np.ndarray, channel: ChannelState, design: OacDesign, r
             params["W0"][...] = cols.reshape(kr, n_out).T
         else:
             params["C"][...] = (h @ params["P"]) @ cols.conj()    # H P: orthonormal columns
-    if bias:
-        params["b"][...] = 0.0
     return layer
 
 
@@ -561,16 +557,6 @@ def snr_report(layer: OacLayer, channel: ChannelState, x: np.ndarray,
 
 
 # -- convolutional front end --------------------------------------------------
-
-def mix_kernels(w: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Mix convolution kernels across their output-channel axis by w."""
-    return np.einsum("om,miuv->oiuv", w, kernels)
-
-
-def mix_channels(w: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """Mix feature maps (B, C, H, W) across channels by w."""
-    return np.einsum("om,bmhw->bohw", w, maps)
-
 
 class OacConvLayer:
     """Convolution computed locally, channel mixing computed over the air.

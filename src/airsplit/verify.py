@@ -116,7 +116,7 @@ def check_installed_weight():
     state = sample_channel(6, 6, 5, rng)
     w = crandn(rng, (5, 5))
     for design in ALL_DESIGNS:
-        layer = layer_from_weight(w, state, design, r=3, rng=rng, bias=False)
+        layer = layer_from_weight(w, state, design, r=3, rng=rng)
         _assert_close(equivalent_weight(layer, state), w, 1e-8,
                       f"{design.side}/{design.form} exact install")
 

@@ -74,7 +74,7 @@ class PartwiseBatchNorm:
         g_hat = self.gamma.conj().reshape(shape) * g
         s_re, s_im = s_re.reshape(shape), s_im.reshape(shape)
         if not train:
-            return g_hat.real / s_re + 1j * g_hat.imag / s_im, g_gamma, g_beta
+            return g_hat.real / s_re + 1j * (g_hat.imag / s_im), g_gamma, g_beta
         count = int(np.prod([g.shape[a] for a in axes]))
 
         def through(h, u, s):
@@ -89,6 +89,20 @@ class PartwiseBatchNorm:
 def partwise_crelu(x):
     """ReLU on each part, recombined as re + 1j * im."""
     return x.real * (x.real > 0) + 1j * (x.imag * (x.imag > 0))
+
+
+# -- channel mixing of a conv layer ------------------------------------------
+
+def mix_kernels(w, kernels):
+    """Mix convolution kernels (C_out, C_in, k, k) across their output-channel
+    axis by w: out[o] = sum_m w[o, m] kernels[m]."""
+    return np.einsum("om,miuv->oiuv", w, kernels)
+
+
+def mix_channels(w, maps):
+    """Mix feature maps (B, C, H, W) across channels by w:
+    out[:, o] = sum_m w[o, m] maps[:, m]."""
+    return np.einsum("om,bmhw->bohw", w, maps)
 
 
 # -- finite differences -------------------------------------------------------

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -315,6 +317,51 @@ def test_run_experiment_records_failures_and_continues(tmp_path, monkeypatch):
     by_r = {row["r"]: row["status"] for row in summary}
     assert by_r[1] == "failed:ChannelRankError"
     assert by_r[2] == "ok"
+
+
+def test_aggregate_recomputes_from_the_ok_rows_of_the_summary(tmp_path, monkeypatch):
+    # Per (r, snr) cell, two ok seeds, one run marked diverged (its eval
+    # values are finite, so letting it in would move every cell) and one
+    # that fails.  Each aggregate cell is the count, the mean and the
+    # population spread (ddof 0) of the ok rows' eval accuracy and eval loss.
+    single_run = bench._single_run
+
+    def planted(cfg, ds, channels, r, snr_db, seed, runs_dir):
+        if seed == 3:
+            raise RuntimeError("planted")
+        row = single_run(cfg, ds, channels, r, snr_db, seed, runs_dir)
+        if seed == 2:
+            row["status"] = f"diverged@{row['steps']}"
+        return row
+
+    monkeypatch.setattr(bench, "_single_run", planted)
+    run_experiment(_tiny_config(seeds=(0, 1, 2, 3), snr_values=(INF, 10.0)), tmp_path)
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    with open(tmp_path / "aggregate.csv", newline="") as fh:
+        aggregate = list(csv.DictReader(fh))
+    assert [row["status"] for row in summary] == \
+        ["ok", "ok", "diverged@12", "failed:RuntimeError"] * 2
+    assert [(row["r"], row["snr_db"]) for row in aggregate] == [("2", "inf"), ("2", "10.0")]
+
+    def mean(v):
+        return sum(v) / len(v)
+
+    def spread(v):
+        return math.sqrt(sum((x - mean(v)) ** 2 for x in v) / len(v))
+
+    for cell in aggregate:
+        ok = [row for row in summary if (row["r"], row["snr_db"], row["status"])
+              == (cell["r"], cell["snr_db"], "ok")]
+        accs = [float(row["eval_accuracy"]) for row in ok]
+        losses = [float(row["eval_loss"]) for row in ok]
+        # the loss spread is nonzero and differs from the accuracy spread,
+        # so a swapped column or a sample spread shows in the values
+        assert spread(losses) > 0.0 and abs(spread(losses) - spread(accs)) > 1e-6
+        assert cell["n_ok"] == "2"
+        for col, want in (("mean_accuracy", mean(accs)), ("std_accuracy", spread(accs)),
+                          ("mean_loss", mean(losses)), ("std_loss", spread(losses))):
+            assert float(cell[col]) == pytest.approx(want, rel=1e-12, abs=1e-15), col
 
 
 @pytest.mark.parametrize("lr, phase, step", [(1e4, "eval", 10), (1e30, "train", 3)])

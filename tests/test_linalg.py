@@ -6,7 +6,7 @@ import pytest
 from airsplit import linalg
 from airsplit.linalg import (
     DecompositionError, add_crandn, crandn, make_rng, matrix_rank, pinv,
-    require_finite, spectral_norm, svd,
+    spectral_norm, svd,
 )
 from airsplit.runtime import _draw_chunk
 
@@ -218,11 +218,3 @@ def test_spectral_norm_matches_numpy():
     rng = make_rng(6)
     a = crandn(rng, (5, 8))
     assert abs(spectral_norm(a) - np.linalg.norm(a, 2)) < 1e-12
-
-
-def test_require_finite_rejects_nan_and_inf():
-    require_finite("x", np.ones(3))
-    with pytest.raises(ValueError, match="x"):
-        require_finite("x", np.array([1.0, np.nan]))
-    with pytest.raises(ValueError, match="x"):
-        require_finite("x", np.array([1.0, np.inf]))

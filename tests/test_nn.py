@@ -101,6 +101,24 @@ def test_batchnorm_eval_uses_running_statistics():
     assert np.abs(y_eval.real.mean()) > 1e-6
 
 
+def test_batchnorm_eval_backward_divides_each_part_by_its_running_scale():
+    # Eval mode: g_x is gamma^* g with each part divided by that part's
+    # sqrt(running var + EPS), a true division as in train mode, not a
+    # multiplication by the reciprocal.
+    rng = make_rng(93)
+    bn = ComplexBatchNorm(4)
+    bn.gamma[...] = crandn(rng, 4) + 1.0
+    bn.forward(1.0 + 2.0j + crandn(rng, (4, 50), var=3.0), train=True)
+    _, cache = bn.forward(crandn(rng, (4, 30)), train=False)
+    g = crandn(rng, (4, 30))
+    g_x, _ = bn.backward(cache, g)
+    h = bn.gamma.conj().reshape(4, 1) * g
+    s_re = np.sqrt(bn.running_var_re + bn.EPS).reshape(4, 1)
+    s_im = np.sqrt(bn.running_var_im + bn.EPS).reshape(4, 1)
+    assert g_x.real.tobytes() == (h.real / s_re).tobytes()
+    assert g_x.imag.tobytes() == (h.imag / s_im).tobytes()
+
+
 def test_batchnorm_gradients_match_finite_differences():
     bn = ComplexBatchNorm(4)
     x = crandn(make_rng(41), (4, 12))

@@ -11,8 +11,7 @@ from airsplit.linalg import crandn, make_rng, matrix_rank, svd
 from airsplit.oac import (
     ALL_DESIGNS, ChannelRankError, FeasibilityError, FeasibilityWarning,
     OacConvLayer, OacDesign, OacLayer, decompose_weight, equivalent_weight,
-    feasible, ideal_matrices, layer_from_weight, mix_channels, mix_kernels,
-    power_normalize, snr_report,
+    feasible, ideal_matrices, layer_from_weight, power_normalize, snr_report,
 )
 
 SIZES = [
@@ -263,7 +262,7 @@ def test_valid_conv_layer_matches_the_oracles(design):
     z, _ = layer.conv.forward(x)
     w = oracles.composed_weight(design.side, design.form, layer.mix.params,
                                 channel.matrix, 3, 3, 2, layer.mix.k_total)
-    want = mix_channels(w, z) + layer.mix.params["b"].reshape(1, 3, 1, 1)
+    want = oracles.mix_channels(w, z) + layer.mix.params["b"].reshape(1, 3, 1, 1)
     np.testing.assert_allclose(y, want, atol=1e-10)
     t = y - crandn(rng, y.shape)
 
@@ -473,7 +472,7 @@ def test_conv_layer_runs_the_mixer_over_every_pixel():
     z, _ = layer.conv.forward(x)
     w = oracles.composed_weight("receiver", "separated", layer.mix.params,
                                 channel.matrix, 3, 3, 3, layer.mix.k_total)
-    want = mix_channels(w, z) + layer.mix.params["b"].reshape(1, 3, 1, 1)
+    want = oracles.mix_channels(w, z) + layer.mix.params["b"].reshape(1, 3, 1, 1)
     np.testing.assert_allclose(y, want, atol=1e-10)
 
 
@@ -504,8 +503,8 @@ def test_kernel_mixing_equals_output_mixing():
     w = crandn(rng, (4, 4))
     x = crandn(rng, (2, 3, 6, 6))
     after, _ = conv.forward(x)
-    mixed_after = mix_channels(w, after)
-    conv.kernels = mix_kernels(w, conv.kernels)
+    mixed_after = oracles.mix_channels(w, after)
+    conv.kernels = oracles.mix_kernels(w, conv.kernels)
     mixed_kernels, _ = conv.forward(x)
     np.testing.assert_allclose(mixed_after, mixed_kernels, atol=1e-12)
 

@@ -164,6 +164,38 @@ def test_covariance_updates_only_on_training_passes(comm_weight):
         assert np.any(tracker.matrix) == (comm_weight > 0.0)
 
 
+def test_comm_on_trackers_hold_the_ema_of_the_received_stacks(monkeypatch):
+    # With the comm loss on, each training step folds each direction's
+    # received (K, ., B) stack, uses side by side, into that direction's
+    # tracker: M <- 0.99 M + 0.01 sum_k R_k R_k^H / (K B), from M = 0.
+    system, link = _toy_system(131, comm_weight=1e-2, noise=NoiseModel(snr_db=10.0))
+    seen = {"fwd": [], "bwd": []}
+    layer_forward, layer_backward = link.layer.forward, link.layer.backward
+
+    def forward(*args):
+        y, transcript = layer_forward(*args)
+        seen["fwd"].append(transcript.received.copy())
+        return y, transcript
+
+    def backward(*args):
+        res = layer_backward(*args)
+        seen["bwd"].append(res.received.copy())
+        return res
+
+    monkeypatch.setattr(link.layer, "forward", forward)
+    monkeypatch.setattr(link.layer, "backward", backward)
+    rng = make_rng(132)
+    for _ in range(2):
+        system.train_batch(crandn(rng, (3, 6)), rng.integers(0, 4, 6), Adam(lr=0.01))
+    for tracker, stacks in ((link.fwd_cov, seen["fwd"]), (link.bwd_cov, seen["bwd"])):
+        assert len(stacks) == tracker.count == 2
+        want = np.zeros_like(tracker.matrix)
+        for stack in stacks:
+            fresh = sum(r @ r.conj().T for r in stack) / (stack.shape[0] * stack.shape[2])
+            want = 0.99 * want + 0.01 * fresh
+        np.testing.assert_allclose(tracker.matrix, want, rtol=0, atol=1e-12)
+
+
 def test_train_batch_steps_every_parameter():
     system, _ = _toy_system(114)
     before = {k: v.copy() for k, v in system.parameters().items()}

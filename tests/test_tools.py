@@ -107,3 +107,17 @@ def test_conv_reference_run_is_byte_equal_on_a_rerun(tmp_path, identity_runs):
     files = {p.name for p in (a / "conv_split").iterdir()}
     assert files == {f"{name}.npy" for name in names} | {"losses.npy"}
     assert compare_runs.compare_dirs(a, b) == (len(files), [])
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 2), (["a", "b"], 2)])
+def test_identity_tool_parses_its_arguments_before_running(tmp_path, monkeypatch, capsys,
+                                                           identity_runs, argv, code):
+    # --help prints the usage; a missing or an extra OUT_DIR is a usage
+    # error.  Neither runs a config or writes a file.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        identity_runs.main(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert "usage:" in (out if code == 0 else err) and "OUT_DIR" in out + err
+    assert list(tmp_path.iterdir()) == []

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/identity_runs.py OUT_DIR
+    python tools/identity_runs.py [-h] OUT_DIR
 
 Runs ``run_experiment`` for 17 short configs (40 steps, seed 0, eval every
 20 steps, log every 10, BLAS on one thread) into ``OUT_DIR/<config>``:
@@ -26,6 +26,7 @@ finite.
 """
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from pathlib import Path
@@ -128,11 +129,10 @@ def write_conv(out: Path) -> np.ndarray:
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: python tools/identity_runs.py OUT_DIR", file=sys.stderr)
-        return 2
-    out = Path(args[0])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("out_dir", type=Path, metavar="OUT_DIR",
+                        help="directory to write the reference runs into")
+    out = parser.parse_args(argv).out_dir
     bad = []
     for name, cfg in identity_configs().items():
         for row in run_experiment(cfg, out / name):
