@@ -22,7 +22,7 @@ from .channel import NOISELESS, NoiseModel, sample_channel, save_channel
 from .linalg import crandn, make_rng
 from .nn import Adam, ComplexBatchNorm, ComplexNet, CRelu, Dense, Sgd
 from .oac import OacDesign, OacLayer, ideal_matrices
-from .runtime import SplitLink, SplitSystem
+from .runtime import SplitLink, SplitSystem, _integer
 
 __all__ = [
     "ConfigError",
@@ -112,7 +112,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     for path, least in _INTEGER_FIELDS:
         section, _, name = path.rpartition(".")
         value = getattr(getattr(cfg, section) if section else cfg, name)
-        _require(isinstance(value, numbers.Integral) and value >= least, path,
+        _require(_integer(value) and value >= least, path,
                  f"{value!r} must be an integer >= {least}")
     _require(cfg.side in ("transmitter", "receiver"), "side",
              "must be 'transmitter' or 'receiver'")
@@ -121,7 +121,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     for name, least in (("r_values", 1), ("seeds", 0)):
         values = getattr(cfg, name)
         _require(len(values) > 0, name, "must not be empty")
-        _require(all(isinstance(v, numbers.Integral) and v >= least for v in values),
+        _require(all(_integer(v) and v >= least for v in values),
                  name, f"entries {values} must be integers >= {least}")
     streams = min(cfg.n_tx, cfg.n_rx)
     _require(max(cfg.r_values) <= streams, "r_values", f"entry {max(cfg.r_values)} "
@@ -163,7 +163,7 @@ def _snr_from_json(v, path: str) -> float:
 def _int_to_json(v):
     # An integer (numpy's too) is written as one; anything else is written as
     # it is, so an invalid entry reads back invalid instead of truncated.
-    return int(v) if isinstance(v, numbers.Integral) else v
+    return int(v) if _integer(v) else v
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -379,9 +379,8 @@ def _fmt(value) -> str:
 def _snr_tag(snr_db: float) -> str:
     if math.isinf(snr_db):
         return "inf"
-    if float(snr_db) == int(snr_db):
-        return str(int(snr_db))
-    return str(float(snr_db)).replace("-", "m")
+    tag = str(int(snr_db)) if float(snr_db) == int(snr_db) else str(float(snr_db))
+    return tag.replace("-", "m")
 
 
 def _write_csv(path, header, rows) -> None:
@@ -535,7 +534,7 @@ class LayerSpec:
             raise ConfigError("conv sizes must be given all together or not at all")
         for name in ("n_i", "n_o", "n_t", "n_r", "r", "batch") + (conv if all(given) else ()):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
+            if not (_integer(value) and value >= 1):
                 raise ConfigError(f"{name}: {value!r} must be an integer >= 1")
 
     @property

@@ -124,10 +124,10 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_regret(args) -> int:
-    cfg = _build_section(RegretConfig, apply_overrides({}, args.override),
-                         "regret")
+    record = apply_overrides({}, args.override)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        record["seed"] = args.seed
+    cfg = _build_section(RegretConfig, record, "regret")
     if isinstance(cfg.sigmas, list):
         cfg = dataclasses.replace(cfg, sigmas=tuple(float(s) for s in cfg.sigmas))
     result = regret_experiment(cfg)

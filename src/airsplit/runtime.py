@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelState, NoiseModel, evolve_channel
-from .linalg import _CRANDN_SCRATCH, _draw_normals, crandn, make_rng, svd
+from .linalg import crandn, make_rng, svd
 from .nn import modulus_softmax_loss
 from .oac import OacConvLayer, OacLayer
 
@@ -317,10 +315,11 @@ class RegretConfig:
     fit_floor: int = 100
 
     def __post_init__(self):
-        for name in ("dim", "obs", "n_seeds", "steps", "fit_floor"):
+        for name, least in (("dim", 1), ("obs", 1), ("n_seeds", 1), ("steps", 1),
+                            ("fit_floor", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} = {value!r} must be an integer >= 1")
+            if not (_integer(value) and value >= least):
+                raise ValueError(f"{name} = {value!r} must be an integer >= {least}")
         if self.steps <= max(self.fit_floor, 2):
             raise ValueError(f"steps = {self.steps} must exceed max(fit_floor, 2)")
         sigmas = self.sigmas if isinstance(self.sigmas, (tuple, list, np.ndarray)) else ()
@@ -337,6 +336,11 @@ class RegretConfig:
 
 def _finite(value) -> bool:
     return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _integer(value) -> bool:
+    """Whether value is an integer, numpy's included; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -356,92 +360,29 @@ class RegretResult:
 
 
 _REGRET_CHUNK = 512
-# Steps of a chunk's imaginary block handed over at a time: the normal
-# equations add one block's gram while the worker draws the next.
+# Steps of a chunk whose gram the normal equations add in one BLAS matmul.
 _REGRET_BLOCK = 64
 
 
-def _draw_chunk(rng: np.random.Generator, a: np.ndarray, var: float,
-                buf: np.ndarray, landed) -> None:
-    """Fill the complex chunk a with the bytes of crandn(rng, a.shape, var).
-
-    The real block is drawn first, then the imaginary block in blocks of
-    _REGRET_BLOCK steps (a's leading axis); landed(hi) is called once steps
-    [0, hi) are complete.  This runs on a worker thread, so it draws through
-    buf, the caller's float scratch, allocates no large array and calls no
-    public function of the package, whose callables a tracer may wrap.
-    """
-    flat = a.reshape(-1)
-    per_step = flat.size // a.shape[0]
-    scale = math.sqrt(var / 2.0)
-    _draw_normals(rng, flat.real, scale, buf)
-    for lo in range(0, a.shape[0], _REGRET_BLOCK):
-        hi = min(lo + _REGRET_BLOCK, a.shape[0])
-        _draw_normals(rng, flat.imag[lo * per_step:hi * per_step], scale, buf)
-        landed(hi)
-
-
-def _draw_chunk_while(rng: np.random.Generator, a: np.ndarray, var: float,
-                      buf: np.ndarray, during, landed) -> None:
-    """Draw the chunk a on a worker thread (_draw_chunk) while this thread
-    runs during(), then landed(lo, hi) for each block of steps [lo, hi) as
-    the worker completes it.  Returns once the worker is joined; an
-    exception raised in the worker is re-raised here after the join."""
-    handoff = queue.SimpleQueue()
-
-    def work():
-        try:
-            _draw_chunk(rng, a, var, buf, handoff.put)
-        except BaseException as exc:    # re-raised by the caller after the join
-            handoff.put(exc)
-        else:
-            handoff.put(None)
-
-    worker = threading.Thread(target=work, name="regret-chunk-draw")
-    worker.start()
-    try:
-        during()
-        lo = 0
-        while isinstance(hi := handoff.get(), int):
-            landed(lo, hi)
-            lo = hi
-    finally:
-        worker.join()
-    if hi is not None:
-        raise hi
-
-
-def _regret_data(cfg: RegretConfig, rng: np.random.Generator, chunk: np.ndarray,
-                 buf: np.ndarray, during, landed):
+def _regret_data(cfg: RegretConfig, rng: np.random.Generator, chunk: np.ndarray):
     """Yield the (A, b) chunks of the data stream, replayably, into one buffer.
 
     chunk is a (min(_REGRET_CHUNK, steps), seeds, obs, dim) complex buffer;
     every A is drawn into chunk[:n] in place and yielded as that view, so a
-    yielded A is valid only until the next chunk is requested.  A is drawn
-    on a worker thread through the float scratch buf (_draw_chunk_while);
-    meanwhile this thread runs during(n), then, for each block of A's steps
-    as it completes, forms that block's A @ truth and calls landed(block).
-    b is small and freshly allocated.  The draw order is that of crandn
-    calls: hidden truth first, then per chunk the measurement matrices and
-    observation noise.  Re-seeding reproduces the stream exactly, so the
-    experiment never has to hold all steps in memory.
+    yielded A is valid only until the next chunk is requested.  b is small
+    and freshly allocated.  The draw order is that of crandn calls: hidden
+    truth first, then per chunk the measurement matrices and observation
+    noise.  Re-seeding reproduces the stream exactly, so the experiment
+    never has to hold all steps in memory.
     """
     d, m, s = cfg.dim, cfg.obs, cfg.n_seeds
     truth = crandn(rng, (s, d), var=1.0)[:, :, None]
     done = 0
     while done < cfg.steps:
         n = min(_REGRET_CHUNK, cfg.steps - done)
-        a = chunk[:n]
-        clean = np.empty((n, s, m, 1), dtype=np.complex128)     # A @ truth
-
-        def block_landed(lo, hi):
-            np.matmul(a[lo:hi], truth, out=clean[lo:hi])
-            landed(a[lo:hi])
-
-        _draw_chunk_while(rng, a, 1.0 / d, buf, lambda: during(n), block_landed)
+        a = crandn(rng, (n, s, m, d), var=1.0 / d, out=chunk[:n])
         b = crandn(rng, (n, s, m), var=cfg.obs_noise ** 2)
-        b += clean[..., 0]
-        del clean
+        b += (a @ truth)[..., 0]
         yield a, b
         done += n
 
@@ -449,9 +390,10 @@ def _regret_data(cfg: RegretConfig, rng: np.random.Generator, chunk: np.ndarray,
 class _NormalEquations:
     """Per-seed normal equations of the hindsight least squares.
 
-    add_gram adds a block of steps' A_k^H A_k into seed k's gram, as a BLAS
-    matmul on that seed's rows and their conjugates, gathered into a scratch
-    of 2 * _REGRET_BLOCK * obs rows; add_rhs adds a chunk's A_k^H b_k.
+    add(a, b) adds a chunk's A_k^H A_k into seed k's gram and its A_k^H b_k
+    into seed k's right-hand side, _REGRET_BLOCK steps at a time and in step
+    order.  A block's gram is one BLAS matmul on that seed's rows and their
+    conjugates, gathered into a scratch of 2 * _REGRET_BLOCK * obs rows.
     """
 
     def __init__(self, cfg: RegretConfig):
@@ -461,27 +403,21 @@ class _NormalEquations:
         self.rows, self.conj = np.empty((2, _REGRET_BLOCK * cfg.obs, d),
                                         dtype=np.complex128)
 
-    def add_gram(self, a: np.ndarray) -> None:
-        n_rows = a.shape[0] * a.shape[2]
-        ak, akc = self.rows[:n_rows], self.conj[:n_rows]
-        for k in range(a.shape[1]):
-            np.copyto(ak.reshape(a[:, k].shape), a[:, k])
-            self.gram[k] += np.conj(ak, out=akc).T @ ak
-
-    def add_rhs(self, a: np.ndarray, b: np.ndarray) -> None:
-        # A_k^H b_k = conj(sum over steps of b_k^H A_k): one BLAS gemv per step
-        # and seed, taken a block of steps at a time to bound the temporary.
+    def add(self, a: np.ndarray, b: np.ndarray) -> None:
         for lo in range(0, a.shape[0], _REGRET_BLOCK):
-            blk = slice(lo, lo + _REGRET_BLOCK)
-            self.rhs += np.conj(np.sum(np.conj(b[blk])[:, :, None, :] @ a[blk], axis=0)[:, 0])
+            a_blk, b_blk = a[lo:lo + _REGRET_BLOCK], b[lo:lo + _REGRET_BLOCK]
+            n_rows = a_blk.shape[0] * a_blk.shape[2]
+            ak, akc = self.rows[:n_rows], self.conj[:n_rows]
+            for k in range(a_blk.shape[1]):
+                np.copyto(ak.reshape(a_blk[:, k].shape), a_blk[:, k])
+                self.gram[k] += np.conj(ak, out=akc).T @ ak
+            # A_k^H b_k = conj(sum over steps of b_k^H A_k): one BLAS gemv
+            # per step and seed.
+            self.rhs += np.conj(np.sum(np.conj(b_blk)[:, :, None, :] @ a_blk, axis=0)[:, 0])
 
     def solve(self) -> np.ndarray:
         """(seeds, dim) least-squares optimum of the stream added so far."""
         return np.stack([np.linalg.solve(g, r) for g, r in zip(self.gram, self.rhs)])
-
-
-def _nothing(*_) -> None:
-    pass
 
 
 def _row_norms(x: np.ndarray, sq: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -506,17 +442,11 @@ def regret_experiment(config: RegretConfig = RegretConfig()) -> RegretResult:
     overwritten its first chunks by then, so the replay redraws it from its
     seed.  Peak memory stays at one chunk whatever the number of steps.
 
-    A worker thread draws each chunk's measurement matrices (_draw_chunk,
-    the bytes and stream position of one crandn call) while this thread
-    works on the same chunk: it draws the chunk's update noise, from its own
-    stream, into a (chunk, seeds, dim) buffer while the real block is drawn
-    (in the first pass for a one-chunk stream, in the replay otherwise),
-    and in the first pass it adds each _REGRET_BLOCK-step block's A_k^H A_k
-    to the gram as the block's imaginary part lands.  b and the right-hand
-    side follow once the worker is joined.  Only the normal equations'
-    summation order depends on this (blocks for the gram, per-step
-    products for the right-hand side), so the hindsight optimum moves by
-    rounding alone; given the optimum, the replay's bytes are fixed.
+    Each chunk's update noise is drawn, from its own stream, into a
+    (chunk, seeds, dim) buffer at the top of the replay's loop.  The normal
+    equations sum the gram in _REGRET_BLOCK-step blocks and the right-hand
+    side as per-step products; the hindsight optimum's rounding depends on
+    that order alone, and given the optimum, the replay's bytes are fixed.
 
     The amplitude fit a(sigma) ~ c0 + c1 sigma^2 of sqrt(T) R(T)/T over the
     fit window yields the predicted ratio between the largest and the
@@ -529,27 +459,20 @@ def regret_experiment(config: RegretConfig = RegretConfig()) -> RegretResult:
 
     rows = min(_REGRET_CHUNK, steps)
     chunk = np.empty((rows, s_seeds, m, d), dtype=np.complex128)
-    draw_buf = np.empty(min(chunk.size, _CRANDN_SCRATCH))
     noise_buf = np.empty((rows, s_seeds, d), dtype=np.complex128)
     step_rng = make_rng(cfg.seed, 6, 1)
 
-    def draw_noise(n):
-        crandn(step_rng, (n, s_seeds, d), var=1.0, out=noise_buf[:n])
-
     one_chunk = steps <= _REGRET_CHUNK
     normal = _NormalEquations(cfg)
-    stream = _regret_data(cfg, make_rng(cfg.seed, 6, 0), chunk, draw_buf,
-                          during=draw_noise if one_chunk else _nothing,
-                          landed=normal.add_gram)
+    stream = _regret_data(cfg, make_rng(cfg.seed, 6, 0), chunk)
     if one_chunk:
         stream = list(stream)       # the whole stream: one (A, b) pair
     for a, b in stream:
-        normal.add_rhs(a, b)
+        normal.add(a, b)
     theta_star = normal.solve()
     del normal
     if not one_chunk:
-        stream = _regret_data(cfg, make_rng(cfg.seed, 6, 0), chunk, draw_buf,
-                              during=draw_noise, landed=_nothing)
+        stream = _regret_data(cfg, make_rng(cfg.seed, 6, 0), chunk)
     radius = cfg.radius_factor * np.linalg.norm(theta_star, axis=1)   # (seeds,)
 
     theta = np.zeros((n_sig, s_seeds, d), dtype=np.complex128)
@@ -564,7 +487,7 @@ def regret_experiment(config: RegretConfig = RegretConfig()) -> RegretResult:
     t = 0
     for a, b in stream:
         n = a.shape[0]
-        noise = noise_buf[:n]
+        noise = crandn(step_rng, (n, s_seeds, d), var=1.0, out=noise_buf[:n])
         # In place and freed before the steps, so the replay holds no more
         # than the first pass did.
         resid_star = (a @ theta_star[:, :, None])[..., 0]

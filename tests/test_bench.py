@@ -65,6 +65,7 @@ NAN, INF = float("nan"), float("inf")
     ("snr_values", (NAN,)), ("snr_values", (-INF,)), ("snr_values", (10.0, 10)),
     ("r_values", (2.5,)), ("r_values", (2.7,)), ("r_values", (4, 4)),
     ("seeds", (0, 0)), ("seeds", (0.5,)), ("seeds", (-1,)),
+    ("r_values", (True,)), ("seeds", (True,)),
 ], ids=str)
 def test_configs_the_math_cannot_honour_fail_by_name(field, values):
     cfg = dataclasses.replace(ExperimentConfig(), **{field: values})
@@ -83,7 +84,7 @@ def test_configs_the_math_cannot_honour_fail_by_name(field, values):
     "data.n_classes", "data.train_per_class", "data.test_per_class", "data.seed",
     "train.batch_size", "train.steps", "train.eval_every", "train.log_every",
 ])
-@pytest.mark.parametrize("value", [2.5, 4.0, "4", -1])
+@pytest.mark.parametrize("value", [2.5, 4.0, "4", -1, True])
 def test_integer_fields_take_integers_only(path, value):
     cfg = _with_field(preset("moving_3node"), path, value)
     with pytest.raises(ConfigError, match=rf"^{path}: {value!r} must be an integer >= "):
@@ -91,12 +92,12 @@ def test_integer_fields_take_integers_only(path, value):
     validate_config(_with_field(cfg, path, np.int64(4)))
 
 
-@pytest.mark.parametrize("sizes", [dict(n_i=6.5), dict(batch="2"), dict(r=0),
+@pytest.mark.parametrize("sizes", [dict(n_i=6.5), dict(batch="2"), dict(r=0), dict(r=True),
                                    dict(n_ci=2, n_co=2, n_k=3, n_hi=4, n_wi=4, n_ho=4, n_wo=1.5)],
                          ids=str)
 def test_layer_spec_sizes_take_integers_only(sizes):
     fields = {**dict(n_i=6, n_o=6, n_t=4, n_r=4, r=3), **sizes}
-    name = next(k for k, v in sizes.items() if not (isinstance(v, int) and v >= 1))
+    name = next(k for k, v in sizes.items() if not (type(v) is int and v >= 1))
     with pytest.raises(ConfigError, match=rf"^{name}: .* must be an integer >= 1"):
         LayerSpec(**fields)
 
@@ -282,6 +283,14 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
                 "channels/link0.json", "config.json"):
         assert (tmp_path / "a" / rel).read_bytes() == \
             (tmp_path / "b" / rel).read_bytes(), rel
+
+
+def test_a_negative_snr_is_spelled_with_m_in_file_names(tmp_path):
+    # A whole and a fractional negative SNR both write "m" for the sign.
+    summary = run_experiment(_tiny_config(snr_values=(-5.0, -5.5)), tmp_path)
+    names = ["r2_snrm5_seed0.csv", "r2_snrm5.5_seed0.csv"]
+    assert [row["file"] for row in summary] == names
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == sorted(names)
 
 
 @pytest.mark.parametrize("baseline", ["proposed", "centralized"])

@@ -68,6 +68,8 @@ def test_an_item_without_equals_is_rejected_by_name(argv, item, capsys):
       "n_hi=4", "n_wi=4", "n_ho=4", "n_wo=4.0"], "n_wo"),
     (["run", "complex_2node", "--override", "train.steps=2.5"], "train.steps"),
     (["run", "complex_2node", "--override", "n_paths=2.5"], "n_paths"),
+    (["cost", "n_i=true", "n_o=6", "n_t=4", "n_r=4", "r=3"], "n_i"),
+    (["run", "complex_2node", "--override", "train.steps=true"], "train.steps"),
 ], ids=str)
 def test_a_non_integer_size_fails_by_name_before_any_output(argv, field, tmp_path, capsys):
     # These printed a table header and then failed on a format code, recorded
@@ -151,6 +153,19 @@ def test_regret_rejects_a_field_by_name(capsys):
     err = json.loads(capsys.readouterr().err)
     assert rc == 2 and err["error"] == "config"
     assert err["message"].startswith("regret: dim = 0")
+
+
+@pytest.mark.parametrize("argv, start", [
+    (["--seed", "-1"], "regret: seed = -1 "),
+    (["--override", "n_seeds=true"], "regret: n_seeds = True "),
+], ids=str)
+def test_regret_rejects_a_bad_seed_or_a_boolean_size_by_name(argv, start, capsys):
+    # These exited 1, with numpy's "expected non-negative integer" or a
+    # TypeError, instead of a config record.
+    rc = main(["regret", *argv])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 2 and err["error"] == "config"
+    assert err["message"].startswith(start)
 
 
 def test_verify_passes(capsys):

@@ -8,7 +8,6 @@ from airsplit.linalg import (
     DecompositionError, add_crandn, crandn, make_rng, matrix_rank, pinv,
     spectral_norm, svd,
 )
-from airsplit.runtime import _draw_chunk
 
 
 def test_make_rng_streams_are_reproducible_and_distinct():
@@ -75,17 +74,6 @@ def test_crandn_through_a_7_float_scratch_is_the_two_draw_formula(shape, monkeyp
     im = twin.standard_normal(shape)
     ref = math.sqrt(var / 2.0) * (re + 1j * im)
     assert np.asarray(z).tobytes() == np.asarray(ref).tobytes()
-    assert rng.standard_normal() == twin.standard_normal()
-
-
-def test_draw_chunk_through_a_7_float_buf_writes_the_crandn_bytes():
-    var = 1.0 / 8
-    rng, twin = make_rng(16, 1), make_rng(16, 1)
-    a = np.full((130, 2, 3), np.nan + 1j, dtype=np.complex128)
-    landed = []
-    _draw_chunk(rng, a, var, np.empty(7), landed.append)
-    assert landed == [64, 128, 130]
-    assert a.tobytes() == crandn(twin, a.shape, var).tobytes()
     assert rng.standard_normal() == twin.standard_normal()
 
 

@@ -1,5 +1,3 @@
-import sys
-import threading
 import tracemalloc
 import weakref
 
@@ -473,6 +471,7 @@ def test_regret_rejects_a_one_sample_slope_fit():
     ("sigmas", (float("inf"),)), ("sigmas", 0.1),
     ("eta0", 0.0), ("eta0", float("nan")), ("radius_factor", 0.0),
     ("radius_factor", float("inf")), ("obs_noise", -0.5), ("obs_noise", float("nan")),
+    ("seed", -1), ("seed", 2.5), ("seed", "x"), ("n_seeds", True), ("seed", True),
 ], ids=str)
 def test_regret_config_fails_by_field_name(field, value):
     kwargs = {"steps": 150, "dim": 4, "n_seeds": 2, "fit_floor": 10, field: value}
@@ -568,64 +567,45 @@ def test_regret_draws_a_one_chunk_stream_once(monkeypatch, steps, draws):
     cfg = RegretConfig(steps=steps, dim=4, obs=2, n_seeds=2)
     data_shape = (cfg.n_seeds, cfg.obs, cfg.dim)
     counted = []
-    draw_chunk = runtime._draw_chunk
 
-    def counting_draw_chunk(rng, a, *args, **kwargs):
-        if tuple(a.shape[1:]) == data_shape:
-            counted.append(a.shape[0])
-        return draw_chunk(rng, a, *args, **kwargs)
+    def counting_crandn(rng, shape, *args, **kwargs):
+        if len(shape) == 4 and tuple(shape[1:]) == data_shape:
+            counted.append(shape[0])
+        return crandn(rng, shape, *args, **kwargs)
 
     expected = regret_experiment(cfg)
-    monkeypatch.setattr(runtime, "_draw_chunk", counting_draw_chunk)
+    monkeypatch.setattr(runtime, "crandn", counting_crandn)
     got = regret_experiment(cfg)
     assert len(counted) == draws
     assert sum(counted) == steps * (1 if draws == 1 else 2)
     np.testing.assert_array_equal(got.avg_regret, expected.avg_regret)
 
 
-@pytest.mark.parametrize("steps, scratch", [(130, 1000), (64, 1 << 16), (1, 7)])
-def test_worker_fills_a_chunk_with_the_bytes_of_crandn(steps, scratch):
-    # The worker draws the real block, then the imaginary one block by block,
-    # through a float scratch whose pieces straddle the blocks; the bytes and
-    # the generator's final state are those of one crandn call.  Each block
-    # is complete when it is handed over, even with the interpreter lock
-    # switching threads as often as it can.
-    shape, var = (steps, 3, 5, 70), 1.0 / 70
-    rng, twin = make_rng(40, 6, 0), make_rng(40, 6, 0)
-    a = np.full(shape, np.nan + 1j, dtype=np.complex128)
-    seen = np.full_like(a, np.nan)
-    ran, blocks = [], []
-
-    def landed(lo, hi):
-        blocks.append((lo, hi))
-        seen[lo:hi] = a[lo:hi]
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runtime._draw_chunk_while(rng, a, var, np.empty(scratch),
-                                  lambda: ran.append(1), landed)
-    finally:
-        sys.setswitchinterval(switch)
-    want = crandn(twin, shape, var).tobytes()
-    assert a.tobytes() == want and seen.tobytes() == want
-    assert rng.bit_generator.state == twin.bit_generator.state
-    assert ran == [1]
-    edges = list(range(0, steps, runtime._REGRET_BLOCK)) + [steps]
-    assert blocks == list(zip(edges[:-1], edges[1:]))
-
-
-def test_regret_reraises_a_worker_exception_after_the_join(monkeypatch):
-    def failing_draw_chunk(rng, a, var, buf, landed):
-        landed(1)
-        raise FloatingPointError("injected in the worker")
-
-    before = threading.active_count()
-    monkeypatch.setattr(runtime, "_draw_chunk", failing_draw_chunk)
-    with pytest.raises(FloatingPointError, match="injected in the worker"):
-        regret_experiment(RegretConfig(steps=200, dim=4, obs=2, n_seeds=2))
-    assert threading.active_count() == before
-    assert not any(t.name == "regret-chunk-draw" for t in threading.enumerate())
+def test_normal_equations_add_each_chunk_in_64_step_blocks():
+    # The hindsight optimum's rounding, and so the regret curves' bytes,
+    # depend on the summation order: per chunk, the gram adds one matmul per
+    # _REGRET_BLOCK-step block and seed, and the right-hand side one sum of
+    # per-step products per block, in step order.
+    cfg = RegretConfig(steps=150, dim=5, obs=3, n_seeds=2, fit_floor=10)
+    rng = make_rng(41, 0)
+    a, b = crandn(rng, (150, 2, 3, 5)), crandn(rng, (150, 2, 3))
+    normal = runtime._NormalEquations(cfg)
+    gram = np.zeros((2, 5, 5), dtype=np.complex128)
+    rhs = np.zeros((2, 5), dtype=np.complex128)
+    for chunk in (slice(0, 140), slice(140, 150)):
+        normal.add(a[chunk], b[chunk])
+        for lo in range(chunk.start, chunk.stop, 64):
+            blk = slice(lo, min(lo + 64, chunk.stop))
+            for k in range(2):
+                rows = a[blk, k].reshape(-1, 5)
+                gram[k] += np.conj(rows).T @ rows
+            rhs += np.conj(np.sum(np.conj(b[blk])[:, :, None, :] @ a[blk], axis=0)[:, 0])
+    assert normal.gram.tobytes() == gram.tobytes()
+    assert normal.rhs.tobytes() == rhs.tobytes()
+    np.testing.assert_allclose(normal.gram, np.einsum("tkmi,tkmj->kij", a.conj(), a),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(normal.rhs, np.einsum("tkmi,tkm->ki", a.conj(), b),
+                               rtol=0, atol=1e-12)
 
 
 def test_regret_peak_memory_stays_near_one_chunk():
@@ -633,8 +613,7 @@ def test_regret_peak_memory_stays_near_one_chunk():
     # 3-chunk stream is drawn by both passes.  Holding a second chunk (pass
     # 1's last one, or the generator's previous one while the next is drawn)
     # raised the peak to ~3 chunks; one chunk plus the update-noise buffer,
-    # the worker's float scratch and the replay's residual stack measures
-    # ~1.73.
+    # crandn's float scratch and the replay's residual stack measures ~1.54.
     cfg = RegretConfig(steps=1100, dim=16, n_seeds=4)
     chunk_bytes = 512 * cfg.n_seeds * cfg.obs * cfg.dim * 16
     regret_experiment(RegretConfig(steps=20, dim=4, obs=2, n_seeds=2, fit_floor=5))

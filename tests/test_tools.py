@@ -121,3 +121,15 @@ def test_identity_tool_parses_its_arguments_before_running(tmp_path, monkeypatch
     out, err = capsys.readouterr()
     assert "usage:" in (out if code == 0 else err) and "OUT_DIR" in out + err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["extra"], 2)])
+def test_plant_tool_takes_no_argument_but_help(monkeypatch, capsys, argv, code):
+    # Neither copies the tree nor runs a test.
+    plant_bugs = _load("plant_bugs")
+    monkeypatch.setattr(plant_bugs, "_trial", lambda plant=None: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exc:
+        plant_bugs.main(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert "usage:" in (out if code == 0 else err)

@@ -1,0 +1,131 @@
+"""Check that the fast tests catch each of a list of planted bugs.
+
+Usage::
+
+    python tools/plant_bugs.py [-h]
+
+Each plant is one exact string replacement in one file under ``src/``.  For
+each plant the tool copies ``src/``, ``tests/``, ``tools/`` and
+``pyproject.toml`` into a temporary directory, applies the plant there and
+runs ``pytest -x`` on every test outside ``tests/test_acceptance.py``
+against that copy.  The plant is caught when that run fails.  An unplanted
+copy is run first and must pass, so that a failure belongs to its plant.
+The checkout itself is never edited.  Exits 1 if the unplanted copy fails,
+if a plant's text does not occur exactly once in its file, or if a plant
+survives.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "tools", "pyproject.toml")
+
+# (name, file under src/airsplit, text to replace, replacement)
+PLANTS = (
+    ("aggregate std_loss from the accuracies", "bench.py",
+     "float(np.std(losses))", "float(np.std(accs))"),
+    ("aggregate spread with ddof=1", "bench.py",
+     "float(np.std(accs)),", "float(np.std(accs, ddof=1)),"),
+    ("covariance tracker alpha 0.9", "runtime.py",
+     "alpha: float = 0.99", "alpha: float = 0.9"),
+    ("regret b drawn before A", "runtime.py",
+     "        a = crandn(rng, (n, s, m, d), var=1.0 / d, out=chunk[:n])\n"
+     "        b = crandn(rng, (n, s, m), var=cfg.obs_noise ** 2)\n",
+     "        b = crandn(rng, (n, s, m), var=cfg.obs_noise ** 2)\n"
+     "        a = crandn(rng, (n, s, m, d), var=1.0 / d, out=chunk[:n])\n"),
+    ("regret gram added in one block per chunk", "runtime.py",
+     "            for k in range(a_blk.shape[1]):\n"
+     "                np.copyto(ak.reshape(a_blk[:, k].shape), a_blk[:, k])\n"
+     "                self.gram[k] += np.conj(ak, out=akc).T @ ak\n",
+     "            for k in range(a.shape[1]) if lo == 0 else ():\n"
+     "                ak = a[:, k].reshape(-1, a.shape[3])\n"
+     "                self.gram[k] += np.conj(ak).T @ ak\n"),
+    ("stream gradients not conjugated", "oac.py",
+     "stream_grads = np.conj(received)", "stream_grads = received.copy()"),
+    ("transmit_backward through the conjugate transpose", "channel.py",
+     "first, second = state.matrix.T, None", "first, second = state.matrix.conj().T, None"),
+    ("Adam BETA2 = 0.99", "nn.py", "BETA2 = 0.999", "BETA2 = 0.99"),
+    ("crandn draws the imaginary part first", "linalg.py",
+     "    _draw_normals(rng, flat.real, scale, buf)\n"
+     "    _draw_normals(rng, flat.imag, scale, buf)\n",
+     "    _draw_normals(rng, flat.imag, scale, buf)\n"
+     "    _draw_normals(rng, flat.real, scale, buf)\n"),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def _run_tests(tree: Path) -> tuple[bool, str]:
+    """(passed, first failing test) of pytest -x over tree's fast tests."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",
+         "tests", "--ignore=tests/test_acceptance.py"],
+        cwd=tree, env=env, capture_output=True, text=True)
+    failed = [line for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED", "ERROR"))]
+    return proc.returncode == 0, failed[0] if failed else proc.stdout[-300:]
+
+
+def _trial(plant=None) -> tuple[bool, str]:
+    """Copy the tree, apply plant (None: none) and run the fast tests.
+    Returns (passed, detail); a plant that does not apply once raises."""
+    with tempfile.TemporaryDirectory(prefix="plant_bugs_") as tmp:
+        tree = Path(tmp)
+        _copy_tree(tree)
+        if plant is not None:
+            _, file, old, new = plant
+            path = tree / "src" / "airsplit" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                raise LookupError(f"{file}: the planted text occurs {text.count(old)} "
+                                  "times, not once")
+            path.write_text(text.replace(old, new))
+        return _run_tests(tree)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.parse_args(argv)
+    start = time.perf_counter()
+    passed, detail = _trial()
+    if not passed:
+        print(f"the unplanted tree fails its fast tests: {detail}")
+        return 1
+    print(f"unplanted tree passes ({time.perf_counter() - start:.1f} s)")
+    bad = 0
+    for plant in PLANTS:
+        t0 = time.perf_counter()
+        try:
+            passed, detail = _trial(plant)
+        except LookupError as exc:
+            print(f"NOT APPLIED  {plant[0]}: {exc}")
+            bad += 1
+            continue
+        verdict = "SURVIVED" if passed else "caught"
+        print(f"{verdict:11s}  {plant[0]} ({time.perf_counter() - t0:.1f} s): "
+              f"{'' if passed else detail}")
+        bad += passed
+    print(f"{len(PLANTS) - bad} of {len(PLANTS)} plants caught in "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
