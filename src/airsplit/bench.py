@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .channel import NOISELESS, NoiseModel, sample_channel, save_channel
 from .linalg import crandn, make_rng
 from .nn import Adam, ComplexBatchNorm, ComplexNet, CRelu, Dense, Sgd
 from .oac import OacDesign, OacLayer, ideal_matrices
-from .runtime import SplitLink, SplitSystem, _integer
+from .runtime import SplitLink, SplitSystem, _finite, _integer
 
 __all__ = [
     "ConfigError",
@@ -127,22 +126,22 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(max(cfg.r_values) <= streams, "r_values", f"entry {max(cfg.r_values)} "
              f"exceeds min(n_tx, n_rx) = {streams}, the most streams a use carries")
     _require(len(cfg.snr_values) > 0, "snr_values", "must not be empty")
-    _require(all(isinstance(v, numbers.Real) and v > -math.inf for v in cfg.snr_values),
+    _require(all(v == math.inf or _finite(v) for v in cfg.snr_values),
              "snr_values", f"entries {cfg.snr_values} must be dB or inf (noiseless), "
              "not nan or -inf")
     for name in ("r_values", "snr_values", "seeds"):
         values = getattr(cfg, name)
         _require(len(set(values)) == len(values), name,
                  f"entries {values} repeat; a repeated run overwrites its curve file")
-    _require(0.0 <= cfg.rho <= 1.0, "rho", "must lie in [0, 1]")
+    _require(_finite(cfg.rho) and 0.0 <= cfg.rho <= 1.0, "rho", "must lie in [0, 1]")
     _require(cfg.baseline in ("proposed", "ideal", "centralized"), "baseline",
              "must be 'proposed', 'ideal' or 'centralized'")
-    _require(math.isfinite(cfg.comm_weight) and cfg.comm_weight >= 0.0, "comm_weight",
+    _require(_finite(cfg.comm_weight) and cfg.comm_weight >= 0.0, "comm_weight",
              "must be >= 0 and finite")
     _require(cfg.backward_rescale in ("auto", "on", "off"), "backward_rescale",
              "must be 'auto', 'on' or 'off'")
-    _require(cfg.data.separation > 0, "data.separation", "must be > 0")
-    _require(cfg.train.lr > 0, "train.lr", "must be > 0")
+    for path, value in (("data.separation", cfg.data.separation), ("train.lr", cfg.train.lr)):
+        _require(_finite(value) and value > 0, path, "must be > 0 and finite")
     _require(cfg.train.optimizer in ("adam", "sgd"), "train.optimizer", "must be 'adam' or 'sgd'")
     return cfg
 
@@ -152,12 +151,12 @@ def _snr_to_json(v):
 
 
 def _snr_from_json(v, path: str) -> float:
-    if v == "inf":
-        return float("inf")
     try:
-        return float(v)
+        if not isinstance(v, bool):     # float() takes "inf" and numeric strings
+            return float(v)
     except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected a number or 'inf', got {v!r}") from None
+        pass
+    raise ConfigError(f"{path}: expected a number or 'inf', got {v!r}")
 
 
 def _int_to_json(v):
@@ -265,7 +264,6 @@ class Dataset:
     train_y: np.ndarray          # (n_train,) int
     test_x: np.ndarray
     test_y: np.ndarray
-    centers: np.ndarray          # (classes, features) complex
 
 
 def generate_dataset(cfg: DataConfig) -> Dataset:
@@ -287,7 +285,7 @@ def generate_dataset(cfg: DataConfig) -> Dataset:
     test_y = np.repeat(np.arange(c), cfg.test_per_class)
     order = rng.permutation(train_y.size)
     return Dataset(train_x=train_x[:, order], train_y=train_y[order],
-                   test_x=test_x, test_y=test_y, centers=centers)
+                   test_x=test_x, test_y=test_y)
 
 
 # -- systems ------------------------------------------------------------------
@@ -397,38 +395,46 @@ def _write_json(path, record) -> None:
         fh.write("\n")
 
 
+# The columns of summary.csv, one per key of the row _single_run returns.
+_SUMMARY_FIELDS = ("r", "snr_db", "seed", "status", "steps", "train_loss",
+                  "train_accuracy", "eval_loss", "eval_accuracy", "file")
+
+
 def _single_run(cfg: ExperimentConfig, ds: Dataset, channels: list, r: int,
                 snr_db: float, seed: int, runs_dir: Path) -> dict:
-    system, opt = build_system(cfg, r, snr_db, seed, channels)
-    batch_rng = make_rng(seed, 0)
-    n_train = ds.train_y.size
+    """Train one run, write its curve and return its row: _SUMMARY_FIELDS
+    and "message", the str() of what the run raised ("" if nothing).  steps
+    is the step the run reached, 0 if build_system raised."""
+    name = f"r{r}_snr{_snr_tag(snr_db)}_seed{seed}.csv"
     t = cfg.train
     rows = []
-    status, ev_loss, ev_acc = "ok", "", ""
-    for step in range(1, t.steps + 1):
-        idx = batch_rng.integers(0, n_train, size=t.batch_size)
-        metrics = system.train_batch(ds.train_x[:, idx], ds.train_y[idx], opt)
-        finite = math.isfinite(metrics.loss) and math.isfinite(metrics.comm_loss)
-        if step % t.log_every == 0 or step == t.steps or not finite:
-            rows.append(("train", step, metrics.loss, metrics.accuracy,
-                         metrics.comm_loss))
-        if finite and (step % t.eval_every == 0 or step == t.steps):
-            ev_loss, ev_acc = system.evaluate(ds.test_x, ds.test_y)
-            rows.append(("final" if step == t.steps else "eval", step, ev_loss,
-                         ev_acc, ""))
-            finite = math.isfinite(ev_loss)
-        if not finite:
-            status = f"diverged@{step}"
-            break
-    name = f"r{r}_snr{_snr_tag(snr_db)}_seed{seed}.csv"
-    _write_csv(runs_dir / name, ("phase", "step", "loss", "accuracy", "comm_loss"),
-               rows)
-    return {
-        "r": r, "snr_db": snr_db, "seed": seed, "status": status,
-        "steps": step, "train_loss": metrics.loss,
-        "train_accuracy": metrics.accuracy, "eval_loss": ev_loss,
-        "eval_accuracy": ev_acc, "file": name,
-    }
+    step, message = 0, ""
+    try:
+        system, opt = build_system(cfg, r, snr_db, seed, channels)
+        batch_rng = make_rng(seed, 0)
+        status, ev_loss, ev_acc = "ok", "", ""
+        for step in range(1, t.steps + 1):
+            idx = batch_rng.integers(0, ds.train_y.size, size=t.batch_size)
+            metrics = system.train_batch(ds.train_x[:, idx], ds.train_y[idx], opt)
+            finite = math.isfinite(metrics.loss) and math.isfinite(metrics.comm_loss)
+            if step % t.log_every == 0 or step == t.steps or not finite:
+                rows.append(("train", step, metrics.loss, metrics.accuracy,
+                             metrics.comm_loss))
+            if finite and (step % t.eval_every == 0 or step == t.steps):
+                ev_loss, ev_acc = system.evaluate(ds.test_x, ds.test_y)
+                rows.append(("final" if step == t.steps else "eval", step, ev_loss,
+                             ev_acc, ""))
+                finite = math.isfinite(ev_loss)
+            if not finite:
+                status = f"diverged@{step}"
+                break
+        values = (status, step, metrics.loss, metrics.accuracy, ev_loss, ev_acc)
+    except Exception as exc:   # keep sweeping; the row and failures.json say why
+        values = (f"failed:{type(exc).__name__}", step, "", "", "", "")
+        message = str(exc)
+    _write_csv(runs_dir / name, ("phase", "step", "loss", "accuracy", "comm_loss"), rows)
+    return {**dict(zip(_SUMMARY_FIELDS, (r, snr_db, seed, *values, name))),
+            "message": message}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list:
@@ -436,66 +442,59 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list:
 
     Files: config.json, channels/link*.json, runs/<combo>.csv per run,
     summary.csv (one row per run) and aggregate.csv (mean and spread over
-    seeds).  A failing run is recorded with its error class and the sweep
-    continues; a run whose train, comm or eval loss turns non-finite stops
-    there and is recorded as diverged@<step> with its partial curve.  Only ok
-    runs enter the aggregate.  Returns the summary rows.
+    seeds).  A run that raises is recorded as failed:<Class> with the step
+    it reached and its partial curve, and the sweep continues; failures.json,
+    written only then, lists each failure's r, snr_db, seed, step, class and
+    message.  A run whose train, comm or eval loss turns non-finite stops
+    there and is recorded as diverged@<step> with its partial curve.  Only
+    ok runs enter the aggregate.  Returns the summary rows.
 
-    out_dir may hold an earlier run: its runs/*.csv and channels/link*.json
-    are removed before anything is written, and so is channels/ once empty,
-    so every such file in out_dir afterwards is one this run wrote.
+    out_dir may hold an earlier run: its runs/*.csv, channels/link*.json and
+    failures.json are removed before anything is written, and so is
+    channels/ once empty, so every such file in out_dir afterwards is one
+    this run wrote.
     """
     validate_config(cfg)
     out = Path(out_dir)
     runs_dir = out / "runs"
-    for stale in [*runs_dir.glob("*.csv"), *(out / "channels").glob("link*.json")]:
+    for stale in [*runs_dir.glob("*.csv"), *(out / "channels").glob("link*.json"),
+                  *out.glob("failures.json")]:
         stale.unlink()
     if (out / "channels").is_dir() and not any((out / "channels").iterdir()):
         (out / "channels").rmdir()
     runs_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", config_to_dict(cfg))
     ds = generate_dataset(cfg.data)
-    n_links = cfg.n_nodes - 1
     channels = []
     if cfg.baseline != "centralized":
         ch_dir = out / "channels"
         ch_dir.mkdir(exist_ok=True)
-        for i in range(n_links):
+        for i in range(cfg.n_nodes - 1):
             state = sample_channel(cfg.n_tx, cfg.n_rx, cfg.n_paths,
                                    make_rng(cfg.channel_seed, 2, i))
             save_channel(state, ch_dir / f"link{i}.json")
             channels.append(state)
-    summary = []
-    for r in cfg.r_values:
-        for snr_db in cfg.snr_values:
-            for seed in cfg.seeds:
-                try:
-                    row = _single_run(cfg, ds, channels, r, snr_db, seed, runs_dir)
-                except Exception as exc:   # keep sweeping, record the failure
-                    row = {"r": r, "snr_db": snr_db, "seed": seed,
-                           "status": f"failed:{type(exc).__name__}",
-                           "steps": 0, "train_loss": "", "train_accuracy": "",
-                           "eval_loss": "", "eval_accuracy": "", "file": ""}
-                summary.append(row)
-    header = ("r", "snr_db", "seed", "status", "steps", "train_loss",
-              "train_accuracy", "eval_loss", "eval_accuracy", "file")
-    _write_csv(out / "summary.csv", header,
-               [[row[k] for k in header] for row in summary])
+    summary = [_single_run(cfg, ds, channels, r, snr_db, seed, runs_dir)
+               for r in cfg.r_values for snr_db in cfg.snr_values for seed in cfg.seeds]
+    _write_csv(out / "summary.csv", _SUMMARY_FIELDS,
+               [[row[k] for k in _SUMMARY_FIELDS] for row in summary])
+    failures = [{"r": int(row["r"]), "snr_db": _snr_to_json(row["snr_db"]),
+                 "seed": int(row["seed"]), "step": row["steps"],
+                 "class": row["status"].partition(":")[2], "message": row["message"]}
+                for row in summary if row["status"].startswith("failed:")]
+    if failures:
+        _write_json(out / "failures.json", failures)
     agg_rows = []
     for r in cfg.r_values:
         for snr_db in cfg.snr_values:
-            accs = [row["eval_accuracy"] for row in summary
-                    if row["r"] == r and row["snr_db"] == snr_db
-                    and row["status"] == "ok"]
-            losses = [row["eval_loss"] for row in summary
-                      if row["r"] == r and row["snr_db"] == snr_db
-                      and row["status"] == "ok"]
-            if accs:
-                agg_rows.append((r, _snr_to_json(snr_db), len(accs),
-                                 float(np.mean(accs)), float(np.std(accs)),
-                                 float(np.mean(losses)), float(np.std(losses))))
-            else:
-                agg_rows.append((r, _snr_to_json(snr_db), 0, "", "", "", ""))
+            ok = [(row["eval_accuracy"], row["eval_loss"]) for row in summary
+                  if (row["r"], row["snr_db"], row["status"]) == (r, snr_db, "ok")]
+            stats = ("", "", "", "")
+            if ok:
+                accs, losses = zip(*ok)
+                stats = (float(np.mean(accs)), float(np.std(accs)),
+                         float(np.mean(losses)), float(np.std(losses)))
+            agg_rows.append((r, _snr_to_json(snr_db), len(ok), *stats))
     _write_csv(out / "aggregate.csv",
                ("r", "snr_db", "n_ok", "mean_accuracy", "std_accuracy",
                 "mean_loss", "std_loss"), agg_rows)
@@ -612,7 +611,6 @@ def cost_report(spec: LayerSpec) -> list:
 @dataclass(frozen=True)
 class CostComparisonRow:
     algorithm: str
-    computation: str             # symbolic: which cost terms apply
     transmission_factor: float   # relative to a plain digital split
     transmission_bound: bool     # True when the factor is an upper bound
     estimation_factor: float     # channel estimation relative cost
@@ -636,11 +634,8 @@ def cost_comparison(r: int) -> list:
         raise ConfigError("r: must be >= 1")
     q = float(SYMBOLS_PER_VALUE * r)
     return [
-        CostComparisonRow("traditional", "network", 1.0, False, 1.0, False),
-        CostComparisonRow("mimo_split", "network+mixing", 1.0 / r, False,
-                          1.0 / r, False),
-        CostComparisonRow("ideal", "network+mixing", 1.0 / q, True,
-                          1.0 / q, True),
-        CostComparisonRow("proposed", "network+mixing", 1.0 / q, True,
-                          0.0, False),
+        CostComparisonRow("traditional", 1.0, False, 1.0, False),
+        CostComparisonRow("mimo_split", 1.0 / r, False, 1.0 / r, False),
+        CostComparisonRow("ideal", 1.0 / q, True, 1.0 / q, True),
+        CostComparisonRow("proposed", 1.0 / q, True, 0.0, False),
     ]

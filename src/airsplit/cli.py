@@ -88,8 +88,10 @@ def _cmd_run(args) -> int:
         print(f"  r={row['r']} snr={row['snr_db']} seed={row['seed']}: "
               f"eval accuracy {row['eval_accuracy']:.4f}")
     for row in failed:
+        failed_run = row["status"].startswith("failed:")
+        detail = f" at step {row['steps']}: {row['message']}" if failed_run else ""
         print(f"  r={row['r']} snr={row['snr_db']} seed={row['seed']}: "
-              f"{row['status']}")
+              f"{row['status']}{detail}")
     return 0 if not failed else 1
 
 

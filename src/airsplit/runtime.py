@@ -335,7 +335,9 @@ class RegretConfig:
 
 
 def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    """Whether value is a finite real number, numpy's included; a bool is not one."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value)
 
 
 def _integer(value) -> bool:

@@ -65,17 +65,20 @@ NAN, INF = float("nan"), float("inf")
     ("snr_values", (NAN,)), ("snr_values", (-INF,)), ("snr_values", (10.0, 10)),
     ("r_values", (2.5,)), ("r_values", (2.7,)), ("r_values", (4, 4)),
     ("seeds", (0, 0)), ("seeds", (0.5,)), ("seeds", (-1,)),
-    ("r_values", (True,)), ("seeds", (True,)),
+    ("r_values", (True,)), ("seeds", (True,)), ("snr_values", (True,)),
+    ("rho", True), ("comm_weight", True), ("data.separation", True), ("train.lr", True),
+    ("data.separation", INF), ("train.lr", INF),
 ], ids=str)
 def test_configs_the_math_cannot_honour_fail_by_name(field, values):
-    cfg = dataclasses.replace(ExperimentConfig(), **{field: values})
-    with pytest.raises(ConfigError, match=field):
+    cfg = _with_field(ExperimentConfig(), field, values)
+    with pytest.raises(ConfigError, match=rf"^{field}: "):
         validate_config(cfg)
-    # Read back from JSON, the entries are neither truncated nor rewritten.
+    # Read back from JSON, the entries are neither truncated nor rewritten
+    # (config_to_dict writes a boolean SNR as 1.0, so JSON true is put in).
     record = config_to_dict(cfg)
-    if field != "snr_values":
+    if field in ("r_values", "seeds") or values == (True,):
         record[field] = list(values)
-    with pytest.raises(ConfigError, match=field):
+    with pytest.raises(ConfigError, match=rf"^{field}: "):
         config_from_dict(json.loads(json.dumps(record)))
 
 
@@ -326,6 +329,63 @@ def test_run_experiment_records_failures_and_continues(tmp_path, monkeypatch):
     by_r = {row["r"]: row["status"] for row in summary}
     assert by_r[1] == "failed:ChannelRankError"
     assert by_r[2] == "ok"
+    # a run that fails before its first step keeps step 0, its file and a
+    # curve of the header alone
+    assert (summary[0]["steps"], summary[0]["file"]) == (0, "r1_snrinf_seed0.csv")
+    assert (tmp_path / "runs" / "r1_snrinf_seed0.csv").read_text() == \
+        "phase,step,loss,accuracy,comm_loss\n"
+    assert json.loads((tmp_path / "failures.json").read_text()) == [
+        {"r": 1, "snr_db": "inf", "seed": 0, "step": 0, "class": "ChannelRankError",
+         "message": "injected"}]
+
+
+def test_a_run_that_raises_mid_run_keeps_its_step_curve_and_message(tmp_path, monkeypatch):
+    # Seed 1 raises in its 7th train_batch.  Its row keeps step 7 and its
+    # file, its curve is the rows the unfailed run logged before step 7, and
+    # failures.json holds the one failure; seed 0 is untouched.  A re-run
+    # into the same directory that no longer fails leaves no failures.json.
+    cfg = _tiny_config(seeds=(0, 1))
+    clean = run_experiment(cfg, tmp_path / "clean")
+
+    def build_failing(cfg, r, snr_db, seed, channels):
+        system, opt = build_system(cfg, r, snr_db, seed, channels)
+        if seed == 1:
+            steps, train_batch = iter(range(1, cfg.train.steps + 1)), system.train_batch
+
+            def train_or_fail(*args):
+                if next(steps) == 7:
+                    raise FloatingPointError("injected at step 7")
+                return train_batch(*args)
+            system.train_batch = train_or_fail
+        return system, opt
+
+    monkeypatch.setattr(bench, "build_system", build_failing)
+    failed = run_experiment(cfg, tmp_path / "out")
+    assert failed[0] == clean[0]
+    assert failed[1] == {"r": 2, "snr_db": INF, "seed": 1,
+                         "status": "failed:FloatingPointError", "steps": 7,
+                         "train_loss": "", "train_accuracy": "", "eval_loss": "",
+                         "eval_accuracy": "", "file": "r2_snrinf_seed1.csv",
+                         "message": "injected at step 7"}
+    runs, clean_runs = tmp_path / "out" / "runs", tmp_path / "clean" / "runs"
+    assert (runs / "r2_snrinf_seed0.csv").read_bytes() == \
+        (clean_runs / "r2_snrinf_seed0.csv").read_bytes()
+    partial = (runs / "r2_snrinf_seed1.csv").read_bytes()
+    assert (clean_runs / "r2_snrinf_seed1.csv").read_bytes().startswith(partial)
+    assert [line.split(",")[:2] for line in partial.decode().splitlines()[1:]] == \
+        [["train", "4"], ["eval", "5"]]
+    assert (tmp_path / "out" / "failures.json").read_text() == (
+        '[\n  {\n    "class": "FloatingPointError",\n    "message": "injected at step 7",\n'
+        '    "r": 2,\n    "seed": 1,\n    "snr_db": "inf",\n    "step": 7\n  }\n]\n')
+    summary_csv = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert summary_csv[2] == "2,inf,1,failed:FloatingPointError,7,,,,,r2_snrinf_seed1.csv"
+    assert (tmp_path / "out" / "aggregate.csv").read_text().splitlines()[1].split(",")[:3] \
+        == ["2", "inf", "1"]
+    monkeypatch.undo()
+    run_experiment(cfg, tmp_path / "out")
+    assert not (tmp_path / "out" / "failures.json").exists()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+        sorted(p.name for p in (tmp_path / "clean").iterdir())
 
 
 def test_aggregate_recomputes_from_the_ok_rows_of_the_summary(tmp_path, monkeypatch):
@@ -335,14 +395,18 @@ def test_aggregate_recomputes_from_the_ok_rows_of_the_summary(tmp_path, monkeypa
     # population spread (ddof 0) of the ok rows' eval accuracy and eval loss.
     single_run = bench._single_run
 
-    def planted(cfg, ds, channels, r, snr_db, seed, runs_dir):
+    def build_or_fail(cfg, r, snr_db, seed, channels):
         if seed == 3:
             raise RuntimeError("planted")
+        return build_system(cfg, r, snr_db, seed, channels)
+
+    def planted(cfg, ds, channels, r, snr_db, seed, runs_dir):
         row = single_run(cfg, ds, channels, r, snr_db, seed, runs_dir)
         if seed == 2:
             row["status"] = f"diverged@{row['steps']}"
         return row
 
+    monkeypatch.setattr(bench, "build_system", build_or_fail)
     monkeypatch.setattr(bench, "_single_run", planted)
     run_experiment(_tiny_config(seeds=(0, 1, 2, 3), snr_values=(INF, 10.0)), tmp_path)
     with open(tmp_path / "summary.csv", newline="") as fh:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from airsplit.cli import main
+from airsplit.runtime import SplitSystem
 from airsplit.verify import CHECKS
 
 
@@ -99,6 +100,34 @@ def test_run_executes_a_small_sweep(tmp_path, capsys):
     assert "1 runs finished, 0 failed" in out
     assert (tmp_path / "summary.csv").exists()
     assert (tmp_path / "runs" / "r2_snr35_seed0.csv").exists()
+
+
+def test_run_rejects_a_boolean_rho_by_name(tmp_path, capsys):
+    # rho=true used to construct a config with rho True and train with it.
+    rc = main(["run", "complex_2node", "--override", "rho=true",
+               "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "config", "message": "rho: must lie in [0, 1]"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_prints_the_step_and_message_of_a_failed_run(tmp_path, capsys, monkeypatch):
+    train_batch = SplitSystem.train_batch
+    steps = iter(range(1, 100))
+
+    def train_or_fail(self, *args):
+        if next(steps) == 3:
+            raise FloatingPointError("injected at step 3")
+        return train_batch(self, *args)
+
+    monkeypatch.setattr(SplitSystem, "train_batch", train_or_fail)
+    rc = main(["run", "complex_2node", "--seed", "0", "--out-dir", str(tmp_path),
+               "--override", "train.steps=5", "--override", "n_tx=4",
+               "--override", "n_rx=4", "--override", "r_values=[2]"])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  r=2 snr=35.0 seed=0: failed:FloatingPointError at step 3: injected at step 3"]
 
 
 def test_run_rejects_unknown_config(capsys):

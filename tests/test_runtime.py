@@ -472,6 +472,7 @@ def test_regret_rejects_a_one_sample_slope_fit():
     ("eta0", 0.0), ("eta0", float("nan")), ("radius_factor", 0.0),
     ("radius_factor", float("inf")), ("obs_noise", -0.5), ("obs_noise", float("nan")),
     ("seed", -1), ("seed", 2.5), ("seed", "x"), ("n_seeds", True), ("seed", True),
+    ("eta0", True), ("sigmas", (True,)), ("radius_factor", True), ("obs_noise", False),
 ], ids=str)
 def test_regret_config_fails_by_field_name(field, value):
     kwargs = {"steps": 150, "dim": 4, "n_seeds": 2, "fit_floor": 10, field: value}

@@ -34,6 +34,23 @@ PLANTS = (
      "float(np.std(losses))", "float(np.std(accs))"),
     ("aggregate spread with ddof=1", "bench.py",
      "float(np.std(accs)),", "float(np.std(accs, ddof=1)),"),
+    ("failed run's step reset to 0", "bench.py",
+     'values = (f"failed:{type(exc).__name__}", step,',
+     'values = (f"failed:{type(exc).__name__}", 0,'),
+    ("failures.json not written", "bench.py",
+     '        _write_json(out / "failures.json", failures)\n', "        pass\n"),
+    ("a stale failures.json kept", "bench.py",
+     ',\n                  *out.glob("failures.json")]', "]"),
+    ("a bool written as 1", "bench.py",
+     "if isinstance(value, (str, bool)):", "if isinstance(value, str):"),
+    ("batch norm mean taken on the complex values", "nn.py",
+     "            mu = np.empty(self.n, dtype=np.complex128)\n"
+     "            for part, out in ((x.real, mu.real), (x.imag, mu.imag)):\n"
+     "                np.add.reduce(part, axis=axes, out=out)\n"
+     "            mu.view(np.float64)[...] /= x.size // self.n\n",
+     "            mu = x.mean(axis=axes)\n"),
+    ("Adam skips its layout rebuild", "nn.py",
+     "if layout != self._layout:", "if self._layout is None:"),
     ("covariance tracker alpha 0.9", "runtime.py",
      "alpha: float = 0.99", "alpha: float = 0.9"),
     ("regret b drawn before A", "runtime.py",
