@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -147,6 +148,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def _snr_to_json(v):
+    # A bool or a non-number is written as it is, so it reads back invalid
+    # instead of as a dB value.
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return v
     return str(v) if math.isinf(v) else float(v)
 
 
@@ -272,20 +277,22 @@ def generate_dataset(cfg: DataConfig) -> Dataset:
     Class centers are drawn once with per-entry variance separation^2, so
     separation directly controls how far apart the clusters sit relative to
     the noise.  The train/test split and the training order are fixed by the
-    data seed alone.
+    data seed alone: each class's first train_per_class samples train, in
+    one permuted order over all classes, and the rest test, in class order.
+
+    Each split is one gather from the (classes, features, samples) cube, so
+    the peak holds the cube, the two splits and the permutation's index
+    arrays.  train_x is F-contiguous, as the per-step column gather reads it.
     """
     rng = make_rng(cfg.seed, 0)
-    f, c = cfg.n_features, cfg.n_classes
-    per = cfg.train_per_class + cfg.test_per_class
+    f, c, tpc = cfg.n_features, cfg.n_classes, cfg.train_per_class
     centers = crandn(rng, (c, f), var=cfg.separation ** 2)
-    samples = centers[:, :, None] + crandn(rng, (c, f, per), var=1.0)
-    train_x = np.concatenate([samples[i, :, :cfg.train_per_class] for i in range(c)], axis=1)
-    test_x = np.concatenate([samples[i, :, cfg.train_per_class:] for i in range(c)], axis=1)
-    train_y = np.repeat(np.arange(c), cfg.train_per_class)
-    test_y = np.repeat(np.arange(c), cfg.test_per_class)
-    order = rng.permutation(train_y.size)
-    return Dataset(train_x=train_x[:, order], train_y=train_y[order],
-                   test_x=test_x, test_y=test_y)
+    samples = crandn(rng, (c, f, tpc + cfg.test_per_class), var=1.0)
+    samples += centers[:, :, None]
+    test_x = samples[:, :, tpc:].transpose(1, 0, 2).reshape(f, -1)
+    cls, col = np.divmod(rng.permutation(c * tpc), tpc)
+    return Dataset(train_x=samples[cls, :, col].T, train_y=cls, test_x=test_x,
+                   test_y=np.repeat(np.arange(c), cfg.test_per_class))
 
 
 # -- systems ------------------------------------------------------------------
@@ -441,13 +448,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list:
     """Run the full sweep of a config and write all artifacts under out_dir.
 
     Files: config.json, channels/link*.json, runs/<combo>.csv per run,
-    summary.csv (one row per run) and aggregate.csv (mean and spread over
-    seeds).  A run that raises is recorded as failed:<Class> with the step
+    summary.csv (one row per run) and aggregate.csv (per r and SNR, the
+    count of ok, diverged and failed runs and the mean and spread over the
+    ok seeds).  A run that raises is recorded as failed:<Class> with the step
     it reached and its partial curve, and the sweep continues; failures.json,
     written only then, lists each failure's r, snr_db, seed, step, class and
     message.  A run whose train, comm or eval loss turns non-finite stops
     there and is recorded as diverged@<step> with its partial curve.  Only
-    ok runs enter the aggregate.  Returns the summary rows.
+    ok runs enter the aggregate's means and spreads.  Returns the summary rows.
 
     out_dir may hold an earlier run: its runs/*.csv, channels/link*.json and
     failures.json are removed before anything is written, and so is
@@ -487,17 +495,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list:
     agg_rows = []
     for r in cfg.r_values:
         for snr_db in cfg.snr_values:
-            ok = [(row["eval_accuracy"], row["eval_loss"]) for row in summary
-                  if (row["r"], row["snr_db"], row["status"]) == (r, snr_db, "ok")]
+            cell = [row for row in summary if (row["r"], row["snr_db"]) == (r, snr_db)]
+            ok = [(row["eval_accuracy"], row["eval_loss"]) for row in cell
+                  if row["status"] == "ok"]
+            n_diverged = sum(row["status"].startswith("diverged@") for row in cell)
+            n_failed = sum(row["status"].startswith("failed:") for row in cell)
             stats = ("", "", "", "")
             if ok:
                 accs, losses = zip(*ok)
                 stats = (float(np.mean(accs)), float(np.std(accs)),
                          float(np.mean(losses)), float(np.std(losses)))
-            agg_rows.append((r, _snr_to_json(snr_db), len(ok), *stats))
+            agg_rows.append((r, _snr_to_json(snr_db), len(ok), n_diverged, n_failed,
+                             *stats))
     _write_csv(out / "aggregate.csv",
-               ("r", "snr_db", "n_ok", "mean_accuracy", "std_accuracy",
-                "mean_loss", "std_loss"), agg_rows)
+               ("r", "snr_db", "n_ok", "n_diverged", "n_failed", "mean_accuracy",
+                "std_accuracy", "mean_loss", "std_loss"), agg_rows)
     return summary
 
 

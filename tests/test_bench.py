@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,11 +75,8 @@ def test_configs_the_math_cannot_honour_fail_by_name(field, values):
     cfg = _with_field(ExperimentConfig(), field, values)
     with pytest.raises(ConfigError, match=rf"^{field}: "):
         validate_config(cfg)
-    # Read back from JSON, the entries are neither truncated nor rewritten
-    # (config_to_dict writes a boolean SNR as 1.0, so JSON true is put in).
+    # Read back from JSON, the entries are neither truncated nor rewritten.
     record = config_to_dict(cfg)
-    if field in ("r_values", "seeds") or values == (True,):
-        record[field] = list(values)
     with pytest.raises(ConfigError, match=rf"^{field}: "):
         config_from_dict(json.loads(json.dumps(record)))
 
@@ -123,6 +122,17 @@ def test_config_to_dict_writes_non_integral_entries_as_they_are():
         with pytest.raises(ConfigError, match=field):
             config_from_dict({**record, "r_values": [4], "seeds": [0],
                               field: record[field]})
+
+
+@pytest.mark.parametrize("snr", [True, False, "x", None], ids=repr)
+def test_config_to_dict_writes_an_snr_that_is_not_a_number_as_it_is(snr):
+    # A boolean SNR used to be written 1.0 (or 0.0), which reads back as a
+    # valid dB value; a string made config_to_dict raise a TypeError.
+    cfg = dataclasses.replace(preset("complex_2node"), snr_values=(snr,))
+    record = json.loads(json.dumps(config_to_dict(cfg)))
+    assert record["snr_values"] == [snr]
+    with pytest.raises(ConfigError, match=r"^snr_values: "):
+        config_from_dict(record)
 
 
 def test_config_dict_round_trip_including_inf():
@@ -203,6 +213,44 @@ def test_dataset_sizes_and_determinism():
     np.testing.assert_array_equal(ds.train_y, again.train_y)
     other = generate_dataset(DataConfig(seed=8))
     assert not np.allclose(ds.train_x, other.train_x)
+
+
+def test_dataset_bytes_and_layout_are_pinned():
+    # sha256 of each array's bytes, recorded from the implementation that
+    # concatenated per-class slices and then permuted the train columns.
+    # The layout is pinned too: each step gathers train_x's columns and the
+    # first Dense layer multiplies them, both reading it F-ordered.
+    ds = generate_dataset(DataConfig(n_features=4, n_classes=3, train_per_class=6,
+                                     test_per_class=2, seed=5))
+    for name, digest in (
+            ("train_x", "683a9d8e9efd5f9a988a44e8af2ea572a17cb0a647971ae3eba56a4142cd11d0"),
+            ("train_y", "3ddec73dc065816fb89e5d9fd4fae7c8438cb98152f2208a9997ecd21d3b2f2d"),
+            ("test_x", "447c2f0d69625cf09bc83de6aecb0dc62ca5ff88acf00f183133cdcad9557766"),
+            ("test_y", "b8d04b8e4644977df092c27fedde0c770d5fb5f0ef931471306a21f8d18c3aea")):
+        assert hashlib.sha256(getattr(ds, name).tobytes()).hexdigest() == digest, name
+    assert ds.train_x.dtype == ds.test_x.dtype == np.complex128
+    assert ds.train_y.dtype == ds.test_y.dtype == np.int64
+    assert ds.train_x.flags.f_contiguous and ds.train_x.strides == (16, 64)
+    assert ds.test_x.flags.c_contiguous and ds.test_x.strides == (96, 16)
+
+
+def test_dataset_peak_memory_stays_near_its_outputs():
+    # Each split is one gather from the (classes, features, samples) cube,
+    # so the peak holds the cube, both splits (one cube between them) and
+    # the permutation's two index arrays, ~2.06 cubes here.  Holding an
+    # unpermuted train copy next to the permuted one measured ~2.89.
+    cfg = DataConfig()
+    cube_bytes = cfg.n_classes * cfg.n_features * \
+        (cfg.train_per_class + cfg.test_per_class) * 16
+    generate_dataset(DataConfig(n_features=2, n_classes=2, train_per_class=3,
+                                test_per_class=1))
+    tracemalloc.start()
+    try:
+        generate_dataset(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / cube_bytes < 2.25
 
 
 # -- system assembly ----------------------------------------------------------
@@ -391,8 +439,9 @@ def test_a_run_that_raises_mid_run_keeps_its_step_curve_and_message(tmp_path, mo
 def test_aggregate_recomputes_from_the_ok_rows_of_the_summary(tmp_path, monkeypatch):
     # Per (r, snr) cell, two ok seeds, one run marked diverged (its eval
     # values are finite, so letting it in would move every cell) and one
-    # that fails.  Each aggregate cell is the count, the mean and the
-    # population spread (ddof 0) of the ok rows' eval accuracy and eval loss.
+    # that fails.  Each aggregate cell is the count of its ok, diverged and
+    # failed rows, and the mean and the population spread (ddof 0) of the ok
+    # rows' eval accuracy and eval loss.
     single_run = bench._single_run
 
     def build_or_fail(cfg, r, snr_db, seed, channels):
@@ -431,7 +480,13 @@ def test_aggregate_recomputes_from_the_ok_rows_of_the_summary(tmp_path, monkeypa
         # the loss spread is nonzero and differs from the accuracy spread,
         # so a swapped column or a sample spread shows in the values
         assert spread(losses) > 0.0 and abs(spread(losses) - spread(accs)) > 1e-6
-        assert cell["n_ok"] == "2"
+        cell_rows = [row for row in summary
+                     if (row["r"], row["snr_db"]) == (cell["r"], cell["snr_db"])]
+        for col, prefix in (("n_ok", "ok"), ("n_diverged", "diverged@"),
+                            ("n_failed", "failed:")):
+            want = sum(row["status"].startswith(prefix) for row in cell_rows)
+            assert cell[col] == str(want), col
+        assert (cell["n_ok"], cell["n_diverged"], cell["n_failed"]) == ("2", "1", "1")
         for col, want in (("mean_accuracy", mean(accs)), ("std_accuracy", spread(accs)),
                           ("mean_loss", mean(losses)), ("std_loss", spread(losses))):
             assert float(cell[col]) == pytest.approx(want, rel=1e-12, abs=1e-15), col
@@ -457,7 +512,9 @@ def test_run_experiment_stops_and_marks_a_diverged_run(tmp_path, lr, phase, step
     summary_csv = (tmp_path / "summary.csv").read_text().splitlines()
     assert summary_csv[1].split(",")[3] == f"diverged@{step}"
     agg = (tmp_path / "aggregate.csv").read_text().splitlines()
-    assert agg[1] == "2,10.0,0,,,,"
+    assert agg[0] == ("r,snr_db,n_ok,n_diverged,n_failed,mean_accuracy,std_accuracy,"
+                      "mean_loss,std_loss")
+    assert agg[1] == "2,10.0,0,1,0,,,,"
 
 
 def test_run_experiment_marks_comm_loss_divergence(tmp_path):

@@ -70,6 +70,18 @@ PLANTS = (
     ("transmit_backward through the conjugate transpose", "channel.py",
      "first, second = state.matrix.T, None", "first, second = state.matrix.conj().T, None"),
     ("Adam BETA2 = 0.99", "nn.py", "BETA2 = 0.999", "BETA2 = 0.99"),
+    ("train_y left unpermuted", "bench.py", "train_y=cls,", "train_y=np.sort(cls),"),
+    ("train gather takes divmod by the samples per class", "bench.py",
+     "np.divmod(rng.permutation(c * tpc), tpc)",
+     "np.divmod(rng.permutation(c * tpc), tpc + cfg.test_per_class)"),
+    ("a boolean SNR written as float(v)", "bench.py",
+     "if isinstance(v, bool) or not isinstance(v, numbers.Real):",
+     "if not isinstance(v, numbers.Real):"),
+    ("n_failed counts diverged runs", "bench.py",
+     'n_failed = sum(row["status"].startswith("failed:")',
+     'n_failed = sum(row["status"].startswith("diverged@")'),
+    ("floats written as %.12g", "bench.py",
+     "    return repr(float(value))\n", '    return "%.12g" % float(value)\n'),
     ("crandn draws the imaginary part first", "linalg.py",
      "    _draw_normals(rng, flat.real, scale, buf)\n"
      "    _draw_normals(rng, flat.imag, scale, buf)\n",
