@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import NOISELESS, NoiseModel, sample_channel, save_channel
+from .channel import NoiseModel, sample_channel, save_channel
 from .linalg import crandn, make_rng
 from .nn import Adam, ComplexBatchNorm, ComplexNet, CRelu, Dense, Sgd
 from .oac import OacDesign, OacLayer, ideal_matrices
@@ -88,9 +88,6 @@ class ExperimentConfig:
     rho: float = 0.0
     baseline: str = "proposed"       # proposed | ideal | centralized
     comm_weight: float = 0.0         # 0 disables the subspace penalty
-    bias: bool = True
-    forward_rescale: bool = True
-    backward_rescale: str = "auto"   # auto | on | off
     data: DataConfig = field(default_factory=DataConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
 
@@ -109,6 +106,8 @@ _INTEGER_FIELDS = (
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    _require(isinstance(cfg.name, str) and cfg.name != "", "name",
+             f"{cfg.name!r} must be a non-empty string")
     for path, least in _INTEGER_FIELDS:
         section, _, name = path.rpartition(".")
         value = getattr(getattr(cfg, section) if section else cfg, name)
@@ -139,8 +138,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
              "must be 'proposed', 'ideal' or 'centralized'")
     _require(_finite(cfg.comm_weight) and cfg.comm_weight >= 0.0, "comm_weight",
              "must be >= 0 and finite")
-    _require(cfg.backward_rescale in ("auto", "on", "off"), "backward_rescale",
-             "must be 'auto', 'on' or 'off'")
     for path, value in (("data.separation", cfg.data.separation), ("train.lr", cfg.train.lr)):
         _require(_finite(value) and value > 0, path, "must be > 0 and finite")
     _require(cfg.train.optimizer in ("adam", "sgd"), "train.optimizer", "must be 'adam' or 'sgd'")
@@ -164,17 +161,17 @@ def _snr_from_json(v, path: str) -> float:
     raise ConfigError(f"{path}: expected a number or 'inf', got {v!r}")
 
 
-def _int_to_json(v):
-    # An integer (numpy's too) is written as one; anything else is written as
-    # it is, so an invalid entry reads back invalid instead of truncated.
-    return int(v) if _integer(v) else v
+def _plain(v):
+    # A numpy scalar is written as the Python value it holds (np.True_ as
+    # true), so json can write it and an invalid one reads back invalid.
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    return v.item() if isinstance(v, np.generic) else v
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["r_values"] = [_int_to_json(r) for r in cfg.r_values]
-    out["snr_values"] = [_snr_to_json(s) for s in cfg.snr_values]
-    out["seeds"] = [_int_to_json(s) for s in cfg.seeds]
+    out = dataclasses.asdict(cfg, dict_factory=lambda items: {k: _plain(v) for k, v in items})
+    out["snr_values"] = [_snr_to_json(s) for s in out["snr_values"]]
     return out
 
 
@@ -316,12 +313,6 @@ def _resolve_form(cfg: ExperimentConfig, r: int) -> str:
     return "combined" if r == min(cfg.n_tx, cfg.n_rx) else "separated"
 
 
-def _resolve_backward_rescale(cfg: ExperimentConfig) -> bool:
-    if cfg.backward_rescale == "auto":
-        return cfg.train.optimizer == "sgd"
-    return cfg.backward_rescale == "on"
-
-
 def build_system(cfg: ExperimentConfig, r: int, snr_db: float, seed: int,
                  channels: list):
     """Assemble the system one run trains, plus its optimizer.
@@ -344,18 +335,19 @@ def build_system(cfg: ExperimentConfig, r: int, snr_db: float, seed: int,
         for i, stack in enumerate(stacks):
             layers.extend(stack)
             if i < n_links:
-                layers.append(Dense(h, h, init_rng, bias=cfg.bias))
+                layers.append(Dense(h, h, init_rng))
         return SplitSystem([ComplexNet(layers)], []), opt
     form = _resolve_form(cfg, r)
     if cfg.baseline == "ideal":
         form = "separated"
     design = OacDesign(cfg.side, form)
-    noise = NOISELESS if math.isinf(snr_db) else NoiseModel(snr_db=snr_db)
+    noise = NoiseModel(snr_db=snr_db)
     links = []
     for i in range(n_links):
+        # Adam is invariant to the gradient's scale; plain SGD steps by it, so
+        # its links undo the backward transmit scale.
         layer = OacLayer(design, h, h, cfg.n_tx, cfg.n_rx, r, init_rng,
-                         bias=cfg.bias, forward_rescale=cfg.forward_rescale,
-                         backward_rescale=_resolve_backward_rescale(cfg))
+                         backward_rescale=cfg.train.optimizer == "sgd")
         comm_weight = cfg.comm_weight
         if cfg.baseline == "ideal":
             p_slim, c_slim = ideal_matrices(channels[i], r)

@@ -166,36 +166,28 @@ def evolve_channel(state: ChannelState, rho: float, rng: np.random.Generator) ->
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Receiver noise description with a single source of truth.
+    """Receiver noise, given as the target channel signal-to-noise ratio.
 
-    Exactly one of sigma2 (per-antenna complex noise variance) or snr_db
-    (target channel signal-to-noise ratio) must be given.  With snr_db, the
-    total noise power is derived from the channel's spectral norm, then split
-    evenly across receive antennas.  sigma2 must be >= 0 and snr_db finite.
+    The total noise power is derived from snr_db (dB) and the channel's
+    spectral norm, then split evenly across receive antennas.  snr_db = inf
+    is noiseless; nan and -inf are rejected.
     """
 
-    sigma2: float | None = None
-    snr_db: float | None = None
+    snr_db: float
 
     def __post_init__(self):
-        if (self.sigma2 is None) == (self.snr_db is None):
-            raise ValueError("specify exactly one of sigma2 or snr_db")
-        if self.sigma2 is not None and not self.sigma2 >= 0:
-            raise ValueError(f"sigma2 = {self.sigma2} must be >= 0")
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db = {self.snr_db} must be finite")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db = {self.snr_db} must be dB or inf (noiseless)")
 
     def total_power(self, state: ChannelState) -> float:
         """Total noise power across the receiving array."""
         return self.sigma2_per_antenna(state) * state.n_rx
 
     def sigma2_per_antenna(self, state: ChannelState) -> float:
-        if self.sigma2 is not None:
-            return self.sigma2
         return state.spectral / 10.0 ** (self.snr_db / 10.0)
 
 
-NOISELESS = NoiseModel(sigma2=0.0)
+NOISELESS = NoiseModel(snr_db=math.inf)
 
 
 def _received(first: np.ndarray, second: np.ndarray | None, x: np.ndarray, sigma2: float,
@@ -293,8 +285,8 @@ def channel_snr(state: ChannelState, p_n: float) -> float:
 def channel_to_dict(state: ChannelState) -> dict:
     """JSON-ready record; floats round-trip exactly through repr."""
     return {
-        "n_tx": state.n_tx,
-        "n_rx": state.n_rx,
+        "n_tx": int(state.n_tx),
+        "n_rx": int(state.n_rx),
         "paths": {
             "gains": [[float(g.real), float(g.imag)] for g in state.paths.gains],
             "departures": [float(a) for a in state.paths.departures],

@@ -195,10 +195,10 @@ class OacLayer:
     bias) for transmitter designs, and inputs past K*r are ignored for
     receiver designs.
 
-    forward_rescale: the receiver multiplies each combined block by the
-    transmit scale a_k it was told out of band, so the noiseless layer equals
-    W_eff exactly.  backward_rescale: the transmitter undoes the backward
-    transmit normalization the same way; leave it off when the optimizer is
+    The receiver multiplies each combined block by the transmit scale a_k
+    it was told out of band, so the noiseless layer equals W_eff exactly.
+    backward_rescale: the transmitter undoes the backward transmit
+    normalization the same way; leave it off when the optimizer is
     scale-invariant.
 
     freeze(*names) fixes parameters in place: backward leaves a frozen name
@@ -207,7 +207,7 @@ class OacLayer:
 
     def __init__(self, design: OacDesign, n_in: int, n_out: int, n_tx: int, n_rx: int,
                  r: int, rng: np.random.Generator, k: int | None = None, bias: bool = True,
-                 forward_rescale: bool = True, backward_rescale: bool = True):
+                 backward_rescale: bool = True):
         if r < 1:
             raise ValueError("r must be >= 1")
         self.design = design
@@ -218,7 +218,6 @@ class OacLayer:
         self.k_total = k if k is not None else math.ceil(need / r)
         if self.k_total < 1:
             raise ValueError("need at least one channel use")
-        self.forward_rescale = forward_rescale
         self.backward_rescale = backward_rescale
         if not feasible(self.k_total, r, n_in, n_out):
             warnings.warn(
@@ -370,7 +369,7 @@ class OacLayer:
         square = self.n_tx == self.n_rx
         received = transmit_forward(channel, sent, noise, rng, out=sent if square else None)
         del sent
-        y, z = self._rx(received, a if self.forward_rescale else np.ones(self.k_total))
+        y, z = self._rx(received, a)
         if "b" in self.params:
             y += self.params["b"][:, None]
         return y, Transcript(a=a, received=received, x=x, u=u,
@@ -391,8 +390,7 @@ class OacLayer:
         if g_y.shape != (self.n_out, t.x.shape[1]):
             raise ValueError(f"expected ({self.n_out}, {t.x.shape[1]}) gradient, "
                              f"got {g_y.shape}")
-        ones = np.ones(self.k_total)
-        back, grads = self._rx_adjoint(g_y, t.a if self.forward_rescale else ones, t)
+        back, grads = self._rx_adjoint(g_y, t.a, t)
         if "b" in self.params:
             grads["b"] = g_y.sum(axis=1)
         # This call owns the (K, ., B) stacks back and stream_grads: back is
@@ -509,10 +507,10 @@ class SnrReport:
     contribution.  backward is (K, m): each precoder-input stream of each
     use, m = n_in for per-use transmitter precoders and r otherwise.  a is
     the forward transmit scale per use, and a_tilde the backward one that
-    OacLayer.backward sends.  With forward_rescale on, the gradient it sends
-    is already scaled by a_k, so a_tilde_k is a_k times the scale of the
-    unscaled upstream gradient, and the backward figures of use k sit
-    10 log10 a_k dB below that gradient's.
+    OacLayer.backward sends.  The gradient it sends is already scaled by
+    a_k, so a_tilde_k is a_k times the scale of the unscaled upstream
+    gradient, and the backward figures of use k sit 10 log10 a_k dB below
+    that gradient's.
 
     A row that carries no signal reads -3000 dB, the log of the 1e-300
     clamp: the forward rows that another use owns, and under an explicit k

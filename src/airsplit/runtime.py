@@ -39,15 +39,17 @@ class CovarianceTracker:
     """Exponential moving average of a received block's covariance.
 
     update(block) with block (dim, columns) folds block block^H / columns
-    into the average with weight (1 - alpha) and re-symmetrizes, so the
+    into the average with weight (1 - ALPHA) and re-symmetrizes, so the
     stored matrix stays Hermitian against roundoff.
     """
 
-    def __init__(self, dim: int, alpha: float = 0.99):
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
+    # The average weighs about the last 1 / (1 - ALPHA) = 100 batches: one
+    # batch moves it by 1 %, and a drifted channel's old covariance fades by
+    # a factor e every 100 batches.
+    ALPHA = 0.99
+
+    def __init__(self, dim: int):
         self.dim = dim
-        self.alpha = alpha
         self.matrix = np.zeros((dim, dim), dtype=np.complex128)
         self.count = 0
 
@@ -56,7 +58,7 @@ class CovarianceTracker:
         if block.ndim != 2 or block.shape[0] != self.dim:
             raise ValueError(f"expected ({self.dim}, cols) block, got {block.shape}")
         fresh = block @ block.conj().T / block.shape[1]
-        m = self.alpha * self.matrix + (1.0 - self.alpha) * fresh
+        m = self.ALPHA * self.matrix + (1.0 - self.ALPHA) * fresh
         self.matrix = 0.5 * (m + m.conj().T)
         self.count += 1
 

@@ -17,8 +17,8 @@ from airsplit.bench import (
     preset, run_experiment, validate_config,
 )
 from airsplit.channel import NoiseModel, channel_snr, sample_channel
-from airsplit.linalg import make_rng
-from airsplit.oac import ChannelRankError, ideal_matrices
+from airsplit.linalg import crandn, make_rng
+from airsplit.oac import ChannelRankError, equivalent_weight, ideal_matrices
 from airsplit.runtime import SplitSystem
 
 from _oracles import conv_cost, fc_cost
@@ -42,8 +42,7 @@ def _tiny_config(**kw):
 
 def test_validate_rejects_bad_fields():
     for mutation in (dict(n_nodes=1), dict(side="middle"), dict(r_values=()),
-                     dict(rho=1.5), dict(baseline="oracle"),
-                     dict(backward_rescale="maybe")):
+                     dict(rho=1.5), dict(baseline="oracle")):
         cfg = dataclasses.replace(ExperimentConfig(), **mutation)
         with pytest.raises(ConfigError):
             validate_config(cfg)
@@ -69,7 +68,8 @@ NAN, INF = float("nan"), float("inf")
     ("seeds", (0, 0)), ("seeds", (0.5,)), ("seeds", (-1,)),
     ("r_values", (True,)), ("seeds", (True,)), ("snr_values", (True,)),
     ("rho", True), ("comm_weight", True), ("data.separation", True), ("train.lr", True),
-    ("data.separation", INF), ("train.lr", INF),
+    ("data.separation", INF), ("train.lr", INF), ("name", 5), ("name", ""),
+    ("r_values", (np.True_,)), ("seeds", (np.True_,)), ("snr_values", (np.True_,)),
 ], ids=str)
 def test_configs_the_math_cannot_honour_fail_by_name(field, values):
     cfg = _with_field(ExperimentConfig(), field, values)
@@ -122,6 +122,31 @@ def test_config_to_dict_writes_non_integral_entries_as_they_are():
         with pytest.raises(ConfigError, match=field):
             config_from_dict({**record, "r_values": [4], "seeds": [0],
                               field: record[field]})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_tx", np.int64(4)), ("channel_seed", np.int32(5)), ("rho", np.float32(0.0)),
+    ("data.seed", np.uint8(3)),
+], ids=str)
+def test_run_experiment_writes_numpy_scalars_as_python_values(field, value, tmp_path):
+    # validate_config takes numpy numbers, and writing config.json then
+    # raised "Object of type int64 is not JSON serializable".
+    cfg = _with_field(_tiny_config(), field, value)
+    rows = run_experiment(cfg, tmp_path / "numpy")
+    assert [row["status"] for row in rows] == ["ok"]
+    record = json.loads((tmp_path / "numpy" / "config.json").read_text())
+    section, _, name = field.rpartition(".")
+    written = (record[section] if section else record)[name]
+    assert written == value.item() and type(written) is type(value.item())
+    assert config_from_dict(record) == cfg
+    # every artifact has the bytes of the run with the Python value
+    run_experiment(_with_field(cfg, field, value.item()), tmp_path / "plain")
+    files = sorted(p.relative_to(tmp_path / "plain")
+                   for p in (tmp_path / "plain").rglob("*") if p.is_file())
+    assert files
+    for rel in files:
+        assert ((tmp_path / "numpy" / rel).read_bytes()
+                == (tmp_path / "plain" / rel).read_bytes()), rel
 
 
 @pytest.mark.parametrize("snr", [True, False, "x", None], ids=repr)
@@ -293,6 +318,27 @@ def test_ideal_baseline_freezes_matched_filters():
     np.testing.assert_array_equal(after["link0.P"], before["link0.P"])
     np.testing.assert_array_equal(after["link0.C"], before["link0.C"])
     assert not np.array_equal(after["link0.W0"], before["link0.W0"])
+
+
+@pytest.mark.parametrize("baseline", ["proposed", "ideal"])
+def test_sgd_links_undo_the_backward_scale_and_adam_links_do_not(baseline):
+    # Adam is invariant to the gradient's scale, so its links skip the
+    # rescale; plain SGD steps by it, so a noiseless SGD link must deliver
+    # the exact adjoint W_eff^H g_y.
+    channel = sample_channel(4, 4, 6, make_rng(54, 2, 0))
+    adam = _tiny_config(baseline=baseline)
+    sgd = dataclasses.replace(adam, train=dataclasses.replace(adam.train, optimizer="sgd"))
+    system, _ = build_system(adam, 2, INF, 0, [channel])
+    assert [link.layer.backward_rescale for link in system.links] == [False]
+    system, _ = build_system(sgd, 2, INF, 0, [channel])
+    link = system.links[0]
+    assert link.layer.backward_rescale is True
+    rng = make_rng(55)
+    x, g_y = crandn(rng, (4, 5)), crandn(rng, (4, 5))
+    _, transcript = link.layer.forward(x, link.channel, link.noise)
+    res = link.layer.backward(transcript, g_y, link.channel, link.noise)
+    want = equivalent_weight(link.layer, link.channel).conj().T @ g_y
+    np.testing.assert_allclose(res.g_x, want, rtol=0, atol=1e-10)
 
 
 def test_comm_penalty_enabled_by_weight():
@@ -557,9 +603,7 @@ def _fuzz_config(rng) -> ExperimentConfig:
         seeds=(int(rng.integers(0, 1000)),), channel_seed=int(rng.integers(0, 1000)),
         rho=pick((0.0, 1e-3, 0.5, 1.0)),
         baseline=pick(("proposed", "ideal", "centralized")),
-        comm_weight=pick((0.0, 1e-3, 1.0)), bias=bool(rng.integers(2)),
-        forward_rescale=bool(rng.integers(2)),
-        backward_rescale=pick(("auto", "on", "off")),
+        comm_weight=pick((0.0, 1e-3, 1.0)),
         data=DataConfig(n_features=int(rng.integers(1, 5)),
                         n_classes=int(rng.integers(2, 4)),
                         train_per_class=int(rng.integers(1, 6)),
@@ -581,7 +625,7 @@ _FUZZ_INVALID = [
     ("seeds", (0, 0)), ("seeds", (0.5,)), ("seeds", (-1,)),
     ("r_values", (7,)), ("n_tx", 0), ("rho", 1.5), ("rho", NAN),
     ("comm_weight", -1.0), ("data.n_classes", 1), ("train.lr", 0.0),
-    ("train.lr", NAN), ("train.batch_size", 0), ("train.steps", 0),
+    ("train.lr", NAN), ("train.batch_size", 0), ("train.steps", 0), ("name", 5),
 ]
 
 

@@ -114,7 +114,8 @@ def test_transmission_shape_checks():
 ])
 def test_a_stacked_transmission_equals_one_call_per_use(k, n_tx, n_rx, b):
     state = sample_channel(n_tx, n_rx, 3, make_rng(20, n_tx))
-    noise = NoiseModel(sigma2=0.3)
+    noise = NoiseModel(snr_db=5.0)
+    sigma2 = noise.sigma2_per_antenna(state)
     if state.factors is None:
         products = ((state.matrix,), (state.matrix.T,))
     else:
@@ -130,7 +131,7 @@ def test_a_stacked_transmission_equals_one_call_per_use(k, n_tx, n_rx, b):
         # the replay contract: the path factors applied to x_k in turn, or
         # the matrix when the state keeps none, plus one crandn draw per
         # use, in use order
-        noise_draws = np.stack([crandn(rngs[2], (n_out, b), var=0.3) for _ in range(k)])
+        noise_draws = np.stack([crandn(rngs[2], (n_out, b), var=sigma2) for _ in range(k)])
         received = []
         for i in range(k):
             y = x[i]
@@ -158,26 +159,26 @@ def test_a_stacked_transmission_equals_one_call_per_use(k, n_tx, n_rx, b):
 
 def test_noisy_transmission_requires_rng_and_hits_target_variance():
     state = sample_channel(4, 6, 3, make_rng(18))
-    noise = NoiseModel(sigma2=0.25)
+    noise = NoiseModel(snr_db=5.0)
+    sigma2 = noise.sigma2_per_antenna(state)
     x = np.zeros((4, 4000), dtype=np.complex128)
     with pytest.raises(ValueError):
         transmit_forward(state, x, noise)
     y = transmit_forward(state, x, noise, make_rng(19))
-    assert abs(np.mean(np.abs(y) ** 2) - 0.25) < 0.01
+    assert abs(np.mean(np.abs(y) ** 2) - sigma2) < 0.04 * sigma2
 
 
-def test_noise_model_requires_exactly_one_spec():
-    with pytest.raises(ValueError):
-        NoiseModel()
-    with pytest.raises(ValueError):
-        NoiseModel(sigma2=0.1, snr_db=10.0)
-    with pytest.raises(ValueError):
-        NoiseModel(sigma2=-1.0)
-    # values that would otherwise transmit the noiseless result
-    for spec in (dict(sigma2=math.nan), dict(snr_db=math.nan), dict(snr_db=math.inf),
-                 dict(snr_db=-math.inf)):
-        with pytest.raises(ValueError, match=next(iter(spec))):
-            NoiseModel(**spec)
+def test_noise_model_rejects_nan_and_minus_inf_and_reads_inf_as_noiseless():
+    for snr_db in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="^snr_db = "):
+            NoiseModel(snr_db=snr_db)
+    state = sample_channel(4, 6, 3, make_rng(20))
+    assert NoiseModel(snr_db=math.inf).sigma2_per_antenna(state) == 0.0
+    assert NOISELESS == NoiseModel(snr_db=math.inf)
+    # noiseless transmission draws nothing, so it needs no rng
+    x = crandn(make_rng(21), (4, 3))
+    np.testing.assert_array_equal(transmit_forward(state, x, NOISELESS),
+                                  state.matrix @ x)
 
 
 def test_snr_specified_noise_round_trips_through_channel_snr():
@@ -186,7 +187,7 @@ def test_snr_specified_noise_round_trips_through_channel_snr():
         noise = NoiseModel(snr_db=target)
         assert abs(channel_snr(state, noise.total_power(state)) - target) < 1e-9
     assert channel_snr(state, 0.0) == float("inf")
-    assert NoiseModel(sigma2=0.5).total_power(state) == 0.5 * state.n_rx
+    assert noise.total_power(state) == noise.sigma2_per_antenna(state) * state.n_rx
 
 
 def test_evolution_identity_at_rho_zero():

@@ -112,6 +112,28 @@ def test_run_rejects_a_boolean_rho_by_name(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    ("name=5", "name: 5 must be a non-empty string"),
+    ('name=""', "name: '' must be a non-empty string"),
+    ("forward_rescale=false", "forward_rescale: unknown field"),
+    ("forward_rescale=off", "forward_rescale: unknown field"),
+    ("backward_rescale=on", "backward_rescale: unknown field"),
+    ("bias=null", "bias: unknown field"),
+], ids=str)
+def test_run_rejects_a_bad_name_or_a_deleted_field_by_name(override, message, tmp_path,
+                                                            capsys, monkeypatch):
+    # name=5 failed with a TypeError from Path("out") / 5, exit 1.  The
+    # deleted fields were accepted: forward_rescale=off trained with the
+    # rescale on, and bias=null dropped every link bias.
+    monkeypatch.chdir(tmp_path)
+    rc = main(["run", "complex_2node", "--override", override,
+               "--override", "train.steps=1", "--override", "seeds=[0]"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "config", "message": message}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_prints_the_step_and_message_of_a_failed_run(tmp_path, capsys, monkeypatch):
     train_batch = SplitSystem.train_batch
     steps = iter(range(1, 100))

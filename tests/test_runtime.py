@@ -33,19 +33,20 @@ def _toy_system(seed, n_tx=4, comm_weight=0.0, noise=NOISELESS, rho=0.0,
 
 
 def test_covariance_tracker_ema_and_symmetry():
-    tr = CovarianceTracker(3, alpha=0.5)
+    tr = CovarianceTracker(3)
     assert tr.count == 0
     b1 = crandn(make_rng(100), (3, 10))
     tr.update(b1)
-    want = 0.5 * (b1 @ b1.conj().T / 10)
-    np.testing.assert_allclose(tr.matrix, 0.5 * (want + want.conj().T), atol=1e-12)
+    want = 0.01 * (b1 @ b1.conj().T / 10)
+    np.testing.assert_allclose(tr.matrix, want, rtol=1e-12)
     np.testing.assert_allclose(tr.matrix, tr.matrix.conj().T, atol=0)
-    tr.update(crandn(make_rng(101), (3, 10)))
+    b2 = crandn(make_rng(101), (3, 10))
+    tr.update(b2)
+    want = 0.99 * want + 0.01 * (b2 @ b2.conj().T / 10)
+    np.testing.assert_allclose(tr.matrix, want, rtol=1e-12)
     assert tr.count == 2
     with pytest.raises(ValueError):
         tr.update(np.zeros((4, 2), dtype=complex))
-    with pytest.raises(ValueError):
-        CovarianceTracker(3, alpha=1.0)
 
 
 def test_comm_loss_zero_when_rank_covers_or_untracked():
@@ -61,7 +62,7 @@ def test_comm_loss_zero_when_rank_covers_or_untracked():
 def test_comm_loss_points_out_of_the_weak_subspace():
     # covariance built from the first two basis vectors only: the weak
     # subspace is exactly span(e3, e4)
-    tr = CovarianceTracker(4, alpha=0.0)
+    tr = CovarianceTracker(4)
     strong = np.zeros((4, 6), dtype=np.complex128)
     strong[0] = crandn(make_rng(104), (6,))
     strong[1] = crandn(make_rng(105), (6,))
@@ -81,7 +82,7 @@ def test_comm_loss_points_out_of_the_weak_subspace():
 @pytest.mark.parametrize("side", ["combiner", "signal"])
 @pytest.mark.parametrize("shape", [(6, 5), (3, 6, 5)])
 def test_comm_loss_matches_the_weak_projector_oracle(side, shape):
-    tr = CovarianceTracker(6, alpha=0.5)
+    tr = CovarianceTracker(6)
     for i in range(3):
         tr.update(crandn(make_rng(108, i), (6, 20)))
     target = crandn(make_rng(109), shape)
@@ -94,7 +95,7 @@ def test_comm_loss_matches_the_weak_projector_oracle(side, shape):
 
 
 def test_comm_loss_signal_side_scaling():
-    tr = CovarianceTracker(3, alpha=0.0)
+    tr = CovarianceTracker(3)
     block = np.zeros((3, 5), dtype=np.complex128)
     block[0] = 1.0
     tr.update(block)

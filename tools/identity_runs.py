@@ -4,14 +4,14 @@ Usage::
 
     python tools/identity_runs.py [-h] OUT_DIR
 
-Runs ``run_experiment`` for 17 short configs (40 steps, seed 0, eval every
+Runs ``run_experiment`` for 16 short configs (40 steps, seed 0, eval every
 20 steps, log every 10, BLAS on one thread) into ``OUT_DIR/<config>``:
 moving_3node and sparse_3node (comm loss on) under all four side x form
 designs, massive_3node, complex_2node proposed and centralized, moving_3node
-with SGD, the ideal baseline with Adam and with SGD, forward_rescale off,
-sparse_3node combined with r = 3 (padded chunks), and sparse_3node with
-12 receive antennas (a non-square array, so each transmit call allocates
-the received stack instead of receiving into the sent one).  It also runs
+with SGD, the ideal baseline with Adam and with SGD, sparse_3node
+combined with r = 3 (padded chunks), and sparse_3node with 12 receive
+antennas (a non-square array, so each transmit call allocates the received
+stack instead of receiving into the sent one).  It also runs
 ``regret_experiment`` for a one-chunk stream (the default config at 500
 steps) and a three-chunk one (1100 steps, dim 8, 3 seeds), and writes each
 result's arrays and scalar fields as ``.npy`` files into
@@ -58,7 +58,7 @@ def _short(name: str, **fields):
 
 
 def identity_configs() -> dict:
-    """The 17 configs by output directory name."""
+    """The 16 configs by output directory name."""
     out = {}
     for name in ("moving_3node", "sparse_3node"):
         for side in ("transmitter", "receiver"):
@@ -71,7 +71,6 @@ def identity_configs() -> dict:
     out["moving_3node_ideal"] = _short("moving_3node", baseline="ideal")
     out["moving_3node_ideal_sgd"] = _short("moving_3node", baseline="ideal",
                                            train={"optimizer": "sgd"})
-    out["moving_3node_no_forward_rescale"] = _short("moving_3node", forward_rescale=False)
     out["sparse_3node_combined_r3"] = _short("sparse_3node", form="combined", r_values=(3,))
     out["sparse_3node_nrx12"] = _short("sparse_3node", n_rx=12)
     return out

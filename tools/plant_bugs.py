@@ -51,8 +51,7 @@ PLANTS = (
      "            mu = x.mean(axis=axes)\n"),
     ("Adam skips its layout rebuild", "nn.py",
      "if layout != self._layout:", "if self._layout is None:"),
-    ("covariance tracker alpha 0.9", "runtime.py",
-     "alpha: float = 0.99", "alpha: float = 0.9"),
+    ("covariance tracker ALPHA 0.9", "runtime.py", "ALPHA = 0.99", "ALPHA = 0.9"),
     ("regret b drawn before A", "runtime.py",
      "        a = crandn(rng, (n, s, m, d), var=1.0 / d, out=chunk[:n])\n"
      "        b = crandn(rng, (n, s, m), var=cfg.obs_noise ** 2)\n",
@@ -87,6 +86,16 @@ PLANTS = (
      "    _draw_normals(rng, flat.imag, scale, buf)\n",
      "    _draw_normals(rng, flat.imag, scale, buf)\n"
      "    _draw_normals(rng, flat.real, scale, buf)\n"),
+    ("SGD links keep the backward transmit scale", "bench.py",
+     'backward_rescale=cfg.train.optimizer == "sgd")', "backward_rescale=False)"),
+    ("NoiseModel accepts snr_db = -inf", "channel.py",
+     "if math.isnan(self.snr_db) or self.snr_db == -math.inf:",
+     "if math.isnan(self.snr_db):"),
+    ("a numpy scalar left unconverted in config_to_dict", "bench.py",
+     "return v.item() if isinstance(v, np.generic) else v", "return v"),
+    ("the name check removed", "bench.py",
+     '_require(isinstance(cfg.name, str) and cfg.name != "", "name",',
+     '_require(True, "name",'),
 )
 
 
