@@ -10,41 +10,29 @@ Runs in under a minute at these sizes.
 import dataclasses
 import time
 
-import numpy as np
-
-from airsplit.bench import build_system, generate_dataset, preset
-from airsplit.channel import sample_channel
-from airsplit.linalg import make_rng
+from airsplit.bench import generate_dataset, link_channels, preset, train_run
 
 cfg = preset("complex_2node")
 cfg = dataclasses.replace(
     cfg,
     data=dataclasses.replace(cfg.data, train_per_class=100, test_per_class=30),
-    train=dataclasses.replace(cfg.train, steps=600))
+    train=dataclasses.replace(cfg.train, steps=600, eval_every=200))
 ds = generate_dataset(cfg.data)
-channels = [sample_channel(cfg.n_tx, cfg.n_rx, cfg.n_paths,
-                           make_rng(cfg.channel_seed, 2, i))
-            for i in range(cfg.n_nodes - 1)]
 print(f"dataset: {ds.train_y.size} train / {ds.test_y.size} test, "
       f"{ds.train_x.shape[0]} complex features, "
       f"{int(ds.train_y.max()) + 1} classes")
 
 
 def train(cfg, label, r, snr_db, seed=0):
-    system, opt = build_system(cfg, r, snr_db, seed,
-                               [] if cfg.baseline == "centralized" else channels)
-    rng = make_rng(seed, 0)
-    n = ds.train_y.size
     t0 = time.time()
-    for step in range(1, cfg.train.steps + 1):
-        idx = rng.integers(0, n, size=cfg.train.batch_size)
-        system.train_batch(ds.train_x[:, idx], ds.train_y[idx], opt)
-        if step % 200 == 0:
-            _, acc = system.evaluate(ds.test_x, ds.test_y)
+    row, curve = train_run(cfg, ds, link_channels(cfg), r, snr_db, seed)
+    if row["status"] != "ok":
+        raise SystemExit(f"{label}: {row['status']} {row['message']}")
+    for phase, step, _, acc, _ in curve:
+        if phase == "eval":
             print(f"  {label}: step {step:4d}, test accuracy {acc:.3f}")
-    _, acc = system.evaluate(ds.test_x, ds.test_y)
-    print(f"  {label}: final {acc:.3f}  [{time.time() - t0:.1f}s]")
-    return acc
+    print(f"  {label}: final {row['eval_accuracy']:.3f}  [{time.time() - t0:.1f}s]")
+    return row["eval_accuracy"]
 
 
 print()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import NoiseModel, sample_channel, save_channel
+from .channel import MAX_SNR_DB, NoiseModel, sample_channel, save_channel
 from .linalg import crandn, make_rng
 from .nn import Adam, ComplexBatchNorm, ComplexNet, CRelu, Dense, Sgd
 from .oac import OacDesign, OacLayer, ideal_matrices
@@ -37,6 +38,8 @@ __all__ = [
     "Dataset",
     "generate_dataset",
     "build_system",
+    "link_channels",
+    "train_run",
     "run_experiment",
     "LayerSpec",
     "CostRow",
@@ -126,9 +129,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(max(cfg.r_values) <= streams, "r_values", f"entry {max(cfg.r_values)} "
              f"exceeds min(n_tx, n_rx) = {streams}, the most streams a use carries")
     _require(len(cfg.snr_values) > 0, "snr_values", "must not be empty")
-    _require(all(v == math.inf or _finite(v) for v in cfg.snr_values),
-             "snr_values", f"entries {cfg.snr_values} must be dB or inf (noiseless), "
-             "not nan or -inf")
+    _require(all(v == math.inf or (_finite(v) and abs(v) <= MAX_SNR_DB)
+                 for v in cfg.snr_values),
+             "snr_values", f"entries {cfg.snr_values} must be dB in [{-MAX_SNR_DB:g}, "
+             f"{MAX_SNR_DB:g}] or inf (noiseless), not nan or -inf")
     for name in ("r_values", "snr_values", "seeds"):
         values = getattr(cfg, name)
         _require(len(set(values)) == len(values), name,
@@ -394,19 +398,34 @@ def _write_json(path, record) -> None:
         fh.write("\n")
 
 
-# The columns of summary.csv, one per key of the row _single_run returns.
+# The columns of summary.csv: the keys of the row train_run returns, and "file".
 _SUMMARY_FIELDS = ("r", "snr_db", "seed", "status", "steps", "train_loss",
                   "train_accuracy", "eval_loss", "eval_accuracy", "file")
 
 
-def _single_run(cfg: ExperimentConfig, ds: Dataset, channels: list, r: int,
-                snr_db: float, seed: int, runs_dir: Path) -> dict:
-    """Train one run, write its curve and return its row: _SUMMARY_FIELDS
-    and "message", the str() of what the run raised ("" if nothing).  steps
-    is the step the run reached, 0 if build_system raised."""
-    name = f"r{r}_snr{_snr_tag(snr_db)}_seed{seed}.csv"
+def link_channels(cfg: ExperimentConfig) -> list:
+    """The channel of each link, link i drawn from make_rng(cfg.channel_seed,
+    2, i), so every run of a config trains on the same links; [] for the
+    centralized baseline, which has none."""
+    if cfg.baseline == "centralized":
+        return []
+    return [sample_channel(cfg.n_tx, cfg.n_rx, cfg.n_paths, make_rng(cfg.channel_seed, 2, i))
+            for i in range(cfg.n_nodes - 1)]
+
+
+def train_run(cfg: ExperimentConfig, ds: Dataset, channels: list, r: int,
+              snr_db: float, seed: int) -> tuple[dict, list]:
+    """Train one run and return (row, curve), batches drawn from make_rng(seed, 0).
+
+    curve holds (phase, step, loss, accuracy, comm_loss) rows: train every
+    log_every steps, eval every eval_every steps and final at the last step.
+    An evaluation draws from the links' training noise streams, so
+    eval_every moves a noisy run.  row holds _SUMMARY_FIELDS but "file", and
+    "message", the str() of what the run raised ("" if nothing); steps is
+    the step the run reached, 0 if build_system raised.
+    """
     t = cfg.train
-    rows = []
+    curve = []
     step, message = 0, ""
     try:
         system, opt = build_system(cfg, r, snr_db, seed, channels)
@@ -417,11 +436,11 @@ def _single_run(cfg: ExperimentConfig, ds: Dataset, channels: list, r: int,
             metrics = system.train_batch(ds.train_x[:, idx], ds.train_y[idx], opt)
             finite = math.isfinite(metrics.loss) and math.isfinite(metrics.comm_loss)
             if step % t.log_every == 0 or step == t.steps or not finite:
-                rows.append(("train", step, metrics.loss, metrics.accuracy,
+                curve.append(("train", step, metrics.loss, metrics.accuracy,
                              metrics.comm_loss))
             if finite and (step % t.eval_every == 0 or step == t.steps):
                 ev_loss, ev_acc = system.evaluate(ds.test_x, ds.test_y)
-                rows.append(("final" if step == t.steps else "eval", step, ev_loss,
+                curve.append(("final" if step == t.steps else "eval", step, ev_loss,
                              ev_acc, ""))
                 finite = math.isfinite(ev_loss)
             if not finite:
@@ -431,9 +450,8 @@ def _single_run(cfg: ExperimentConfig, ds: Dataset, channels: list, r: int,
     except Exception as exc:   # keep sweeping; the row and failures.json say why
         values = (f"failed:{type(exc).__name__}", step, "", "", "", "")
         message = str(exc)
-    _write_csv(runs_dir / name, ("phase", "step", "loss", "accuracy", "comm_loss"), rows)
-    return {**dict(zip(_SUMMARY_FIELDS, (r, snr_db, seed, *values, name))),
-            "message": message}
+    return {**dict(zip(_SUMMARY_FIELDS[:-1], (r, snr_db, seed, *values), strict=True)),
+            "message": message}, curve
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list:
@@ -465,17 +483,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list:
     runs_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", config_to_dict(cfg))
     ds = generate_dataset(cfg.data)
-    channels = []
-    if cfg.baseline != "centralized":
-        ch_dir = out / "channels"
-        ch_dir.mkdir(exist_ok=True)
-        for i in range(cfg.n_nodes - 1):
-            state = sample_channel(cfg.n_tx, cfg.n_rx, cfg.n_paths,
-                                   make_rng(cfg.channel_seed, 2, i))
-            save_channel(state, ch_dir / f"link{i}.json")
-            channels.append(state)
-    summary = [_single_run(cfg, ds, channels, r, snr_db, seed, runs_dir)
-               for r in cfg.r_values for snr_db in cfg.snr_values for seed in cfg.seeds]
+    channels = link_channels(cfg)
+    for i, state in enumerate(channels):
+        (out / "channels").mkdir(exist_ok=True)
+        save_channel(state, out / "channels" / f"link{i}.json")
+    summary = []
+    for r, snr_db, seed in itertools.product(cfg.r_values, cfg.snr_values, cfg.seeds):
+        row, curve = train_run(cfg, ds, channels, r, snr_db, seed)
+        name = f"r{r}_snr{_snr_tag(snr_db)}_seed{seed}.csv"
+        _write_csv(runs_dir / name, ("phase", "step", "loss", "accuracy", "comm_loss"), curve)
+        summary.append({**row, "file": name})
     _write_csv(out / "summary.csv", _SUMMARY_FIELDS,
                [[row[k] for k in _SUMMARY_FIELDS] for row in summary])
     failures = [{"r": int(row["r"]), "snr_db": _snr_to_json(row["snr_db"]),

@@ -32,6 +32,7 @@ __all__ = [
     "PathSet",
     "ChannelState",
     "NoiseModel",
+    "MAX_SNR_DB",
     "NOISELESS",
     "wrap_angle",
     "sample_channel",
@@ -164,20 +165,28 @@ def evolve_channel(state: ChannelState, rho: float, rng: np.random.Generator) ->
     return ChannelState.from_paths(state.n_tx, state.n_rx, paths)
 
 
+# The largest |snr_db| a finite SNR may take.  10^(snr_db/10) overflows a
+# float past about 3083 dB and underflows to 0 below about -3240 dB; this
+# bound keeps it and its reciprocal far inside the float range.
+MAX_SNR_DB = 300.0
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Receiver noise, given as the target channel signal-to-noise ratio.
 
     The total noise power is derived from snr_db (dB) and the channel's
     spectral norm, then split evenly across receive antennas.  snr_db = inf
-    is noiseless; nan and -inf are rejected.
+    is noiseless; a finite snr_db must lie in [-MAX_SNR_DB, MAX_SNR_DB], and
+    nan and -inf are rejected.
     """
 
     snr_db: float
 
     def __post_init__(self):
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise ValueError(f"snr_db = {self.snr_db} must be dB or inf (noiseless)")
+        if not (self.snr_db == math.inf or -MAX_SNR_DB <= self.snr_db <= MAX_SNR_DB):
+            raise ValueError(f"snr_db = {self.snr_db} must be dB in "
+                             f"[{-MAX_SNR_DB:g}, {MAX_SNR_DB:g}] or inf (noiseless)")
 
     def total_power(self, state: ChannelState) -> float:
         """Total noise power across the receiving array."""

@@ -11,8 +11,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from airsplit.bench import (DataConfig, LayerSpec, build_system, cost_report,
-                            generate_dataset, preset, run_experiment)
+from airsplit.bench import (DataConfig, LayerSpec, cost_report, generate_dataset,
+                            link_channels, preset, run_experiment, train_run)
 from airsplit.channel import NOISELESS, NoiseModel, sample_channel
 from airsplit.cli import main as cli_main
 from airsplit.linalg import crandn, make_rng
@@ -41,21 +41,15 @@ def _rel(got, want):
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
 
 
-def _channels_for(cfg):
-    return [sample_channel(cfg.n_tx, cfg.n_rx, cfg.n_paths,
-                           make_rng(cfg.channel_seed, 2, i))
-            for i in range(cfg.n_nodes - 1)]
-
-
 def _final_accuracy(cfg, ds, channels, r, snr_db, seed):
-    """Train one run to completion and return its test accuracy."""
-    system, opt = build_system(cfg, r, snr_db, seed, channels)
-    rng = make_rng(seed, 0)
-    n = ds.train_y.size
-    for _ in range(cfg.train.steps):
-        idx = rng.integers(0, n, size=cfg.train.batch_size)
-        system.train_batch(ds.train_x[:, idx], ds.train_y[idx], opt)
-    return system.evaluate(ds.test_x, ds.test_y)[1]
+    """Train one run to completion and return its test accuracy.  It is
+    evaluated at the last step only: a mid-run evaluation draws from the
+    links' training forward-noise streams, so it would move the run."""
+    cfg = dataclasses.replace(cfg, train=dataclasses.replace(
+        cfg.train, eval_every=cfg.train.steps))
+    row, _ = train_run(cfg, ds, channels, r, snr_db, seed)
+    assert row["status"] == "ok", (row["status"], row["message"])
+    return row["eval_accuracy"]
 
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -66,7 +60,7 @@ def complex_2node_setup():
     cfg = preset("complex_2node")
     cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train,
                                                              steps=2000))
-    return cfg, generate_dataset(cfg.data), _channels_for(cfg)
+    return cfg, generate_dataset(cfg.data), link_channels(cfg)
 
 
 def test_01_noiseless_layer_matches_its_composed_dense_map(capsys):
@@ -269,7 +263,7 @@ def test_10_slow_channel_drift_is_harmless_and_fast_drift_is_not(capsys):
                  "fast drift costs more than slow"):
         mcfg = preset("moving_3node")
         ds = generate_dataset(mcfg.data)
-        channels = _channels_for(mcfg)
+        channels = link_channels(mcfg)
 
         def mean_acc(rho):
             cfg = dataclasses.replace(mcfg, rho=rho)

@@ -70,6 +70,7 @@ NAN, INF = float("nan"), float("inf")
     ("rho", True), ("comm_weight", True), ("data.separation", True), ("train.lr", True),
     ("data.separation", INF), ("train.lr", INF), ("name", 5), ("name", ""),
     ("r_values", (np.True_,)), ("seeds", (np.True_,)), ("snr_values", (np.True_,)),
+    ("snr_values", (300.5,)), ("snr_values", (10.0, -300.5)), ("snr_values", (4000.0,)),
 ], ids=str)
 def test_configs_the_math_cannot_honour_fail_by_name(field, values):
     cfg = _with_field(ExperimentConfig(), field, values)
@@ -161,10 +162,11 @@ def test_config_to_dict_writes_an_snr_that_is_not_a_number_as_it_is(snr):
 
 
 def test_config_dict_round_trip_including_inf():
+    # -300 and 300 dB are the edges of the finite SNR a config may take.
     cfg = dataclasses.replace(preset("sparse_3node"),
-                              snr_values=(float("inf"), 10.0))
+                              snr_values=(float("inf"), 10.0, -300.0, 300.0))
     record = config_to_dict(cfg)
-    assert record["snr_values"] == ["inf", 10.0]
+    assert record["snr_values"] == ["inf", 10.0, -300.0, 300.0]
     text = json.dumps(record)          # must be JSON-serializable as-is
     back = config_from_dict(json.loads(text))
     assert back == cfg
@@ -488,21 +490,21 @@ def test_aggregate_recomputes_from_the_ok_rows_of_the_summary(tmp_path, monkeypa
     # that fails.  Each aggregate cell is the count of its ok, diverged and
     # failed rows, and the mean and the population spread (ddof 0) of the ok
     # rows' eval accuracy and eval loss.
-    single_run = bench._single_run
+    train_run = bench.train_run
 
     def build_or_fail(cfg, r, snr_db, seed, channels):
         if seed == 3:
             raise RuntimeError("planted")
         return build_system(cfg, r, snr_db, seed, channels)
 
-    def planted(cfg, ds, channels, r, snr_db, seed, runs_dir):
-        row = single_run(cfg, ds, channels, r, snr_db, seed, runs_dir)
+    def planted(cfg, ds, channels, r, snr_db, seed):
+        row, curve = train_run(cfg, ds, channels, r, snr_db, seed)
         if seed == 2:
             row["status"] = f"diverged@{row['steps']}"
-        return row
+        return row, curve
 
     monkeypatch.setattr(bench, "build_system", build_or_fail)
-    monkeypatch.setattr(bench, "_single_run", planted)
+    monkeypatch.setattr(bench, "train_run", planted)
     run_experiment(_tiny_config(seeds=(0, 1, 2, 3), snr_values=(INF, 10.0)), tmp_path)
     with open(tmp_path / "summary.csv", newline="") as fh:
         summary = list(csv.DictReader(fh))
@@ -536,6 +538,17 @@ def test_aggregate_recomputes_from_the_ok_rows_of_the_summary(tmp_path, monkeypa
         for col, want in (("mean_accuracy", mean(accs)), ("std_accuracy", spread(accs)),
                           ("mean_loss", mean(losses)), ("std_loss", spread(losses))):
             assert float(cell[col]) == pytest.approx(want, rel=1e-12, abs=1e-15), col
+
+
+def test_a_run_evaluates_at_its_last_step_when_eval_every_does_not_divide_steps():
+    cfg = _tiny_config()
+    cfg.train = dataclasses.replace(cfg.train, steps=7, eval_every=3)
+    row, curve = bench.train_run(cfg, generate_dataset(cfg.data), bench.link_channels(cfg),
+                                 2, INF, 0)
+    assert [(phase, step) for phase, step, *_ in curve] == [
+        ("eval", 3), ("train", 4), ("eval", 6), ("train", 7), ("final", 7)]
+    assert (row["status"], row["steps"]) == ("ok", 7)
+    assert (row["eval_loss"], row["eval_accuracy"]) == curve[-1][2:4]
 
 
 @pytest.mark.parametrize("lr, phase, step", [(1e4, "eval", 10), (1e30, "train", 3)])

@@ -181,6 +181,18 @@ def test_noise_model_rejects_nan_and_minus_inf_and_reads_inf_as_noiseless():
                                   state.matrix @ x)
 
 
+def test_noise_model_bounds_a_finite_snr_at_300_db():
+    # Past the bound the noise formula overflows (3083 dB), divides by zero
+    # (-3300 dB) or trains on noise of variance 1e300 (-3000 dB).
+    state = sample_channel(4, 6, 3, make_rng(20))
+    for snr_db in (300.0, -300.0):
+        sigma2 = NoiseModel(snr_db=snr_db).sigma2_per_antenna(state)
+        assert 0.0 < sigma2 < math.inf and 1.0 / sigma2 < math.inf
+    for snr_db in (300.5, -300.5, 3083.0, -3000.0, -3300.0):
+        with pytest.raises(ValueError, match=r"^snr_db = .* must be dB in \[-300, 300\]"):
+            NoiseModel(snr_db=snr_db)
+
+
 def test_snr_specified_noise_round_trips_through_channel_snr():
     state = sample_channel(4, 6, 3, make_rng(20))
     for target in (0.0, 10.0, 35.0):
@@ -211,6 +223,31 @@ def test_evolution_moves_and_is_reproducible():
     assert d_small < d_large
     with pytest.raises(ValueError):
         evolve_channel(state, 1.5, make_rng(24))
+
+
+def test_evolution_at_rho_one_is_a_fresh_draw_from_the_same_stream():
+    # Both draw in the same order, and at rho = 1 the old values count 0 times.
+    state = sample_channel(4, 6, 3, make_rng(26))
+    fresh = evolve_channel(state, 1.0, make_rng(27))
+    want = sample_channel(4, 6, 3, make_rng(27))
+    for name in ("gains", "departures", "arrivals"):
+        assert getattr(fresh.paths, name).tobytes() == getattr(want.paths, name).tobytes(), name
+    assert fresh.matrix.tobytes() == want.matrix.tobytes()
+
+
+def test_evolution_mixes_each_path_parameter_toward_its_own_fresh_draw():
+    state = sample_channel(4, 6, 3, make_rng(28))
+    rho = 0.3
+    moved = evolve_channel(state, rho, make_rng(29))
+    rng = make_rng(29)
+    arrivals, departures, mags, phases = (rng.uniform(lo, hi, 3) for lo, hi in (
+        (-np.pi, np.pi), (-np.pi, np.pi), (0.5, 1.5), (-np.pi, np.pi)))
+    old = state.paths
+    for name, want in (
+            ("gains", (1 - rho) * old.gains + rho * mags * np.exp(1j * phases)),
+            ("departures", (1 - rho) * old.departures + rho * departures),
+            ("arrivals", (1 - rho) * old.arrivals + rho * arrivals)):
+        np.testing.assert_allclose(getattr(moved.paths, name), want, rtol=1e-14, err_msg=name)
 
 
 def test_serialization_round_trip_is_exact(tmp_path):

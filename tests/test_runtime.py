@@ -295,12 +295,12 @@ def test_frozen_combiner_keeps_its_value_under_the_comm_penalty():
     assert metrics.comm_loss > 0.0 and link.comm_loss_value == metrics.comm_loss
 
 
-def _conv_system(seed):
+def _conv_system(seed, comm_weight=1e-2):
     """Conv node -> over-the-air conv link -> pooled dense head, on (B, 2, 4, 4)."""
     rng = make_rng(seed, 1)
     channel = sample_channel(4, 4, 4, make_rng(seed, 2))
     layer = OacConvLayer(3, 4, 3, OacDesign("receiver", "separated"), 4, 4, 2, rng)
-    link = SplitLink(layer, channel, NOISELESS, comm_weight=1e-2)
+    link = SplitLink(layer, channel, NOISELESS, comm_weight=comm_weight)
     nodes = [ComplexNet([Conv2d(2, 3, 3, rng)]),
              ComplexNet([AvgPool2d(), Flatten(), Dense(4, 3, rng)])]
     return SplitSystem(nodes, [link]), link
@@ -324,6 +324,29 @@ def test_conv_link_trains_tracks_and_evaluates_in_chunks():
     after = system.parameters()
     changed = [k for k in before if not np.array_equal(before[k], after[k])]
     assert set(changed) == set(before)     # every parameter moved
+
+
+def test_conv_link_adds_the_combiner_penalty_gradient_to_mix_c():
+    # The same noiseless link with the comm loss on and off: mix.C's gradient
+    # differs by the penalty's, taken from the forward tracker that the
+    # training pass filled, and no other gradient differs.
+    rng = make_rng(134)
+    x = crandn(rng, (5, 3, 4, 4))
+    g_y = crandn(rng, (5, 4, 4, 4))
+    grads, links = {}, {}
+    for weight in (1.0, 0.0):
+        _, links[weight] = _conv_system(135, comm_weight=weight)
+        _, transcript = links[weight].forward(x, train=True)
+        grads[weight] = links[weight].backward(transcript, g_y).grads
+    on = links[1.0]
+    g_c, _ = comm_loss_gradients(on.fwd_cov, on.inner.params["C"], on.inner.r,
+                                 side="combiner", weight=1.0)
+    assert np.linalg.norm(g_c) > 1e-3 * np.linalg.norm(grads[0.0]["mix.C"])
+    np.testing.assert_allclose(grads[1.0]["mix.C"], grads[0.0]["mix.C"] + g_c,
+                               rtol=1e-12, atol=0)
+    assert set(grads[1.0]) == set(grads[0.0])
+    for name in grads[0.0].keys() - {"mix.C"}:
+        np.testing.assert_array_equal(grads[1.0][name], grads[0.0][name], err_msg=name)
 
 
 def test_evaluate_chunking_matches_single_pass():

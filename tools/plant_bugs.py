@@ -89,8 +89,18 @@ PLANTS = (
     ("SGD links keep the backward transmit scale", "bench.py",
      'backward_rescale=cfg.train.optimizer == "sgd")', "backward_rescale=False)"),
     ("NoiseModel accepts snr_db = -inf", "channel.py",
-     "if math.isnan(self.snr_db) or self.snr_db == -math.inf:",
-     "if math.isnan(self.snr_db):"),
+     "if not (self.snr_db == math.inf or", "if not (abs(self.snr_db) == math.inf or"),
+    ("NoiseModel accepts a finite SNR past the bound", "channel.py",
+     "-MAX_SNR_DB <= self.snr_db <= MAX_SNR_DB", "math.isfinite(self.snr_db)"),
+    ("validate_config accepts a finite SNR past the bound", "bench.py",
+     "(_finite(v) and abs(v) <= MAX_SNR_DB)", "_finite(v)"),
+    ("no final evaluation when eval_every does not divide steps", "bench.py",
+     "(step % t.eval_every == 0 or step == t.steps)", "(step % t.eval_every == 0)"),
+    ("drift mixes departures toward the fresh arrivals", "channel.py",
+     "state.paths.departures + rho * departures_new,",
+     "state.paths.departures + rho * arrivals_new,"),
+    ("a conv link's comm penalty dropped", "runtime.py",
+     'name = "mix.C" if conv else "C"', 'name = "C"'),
     ("a numpy scalar left unconverted in config_to_dict", "bench.py",
      "return v.item() if isinstance(v, np.generic) else v", "return v"),
     ("the name check removed", "bench.py",
