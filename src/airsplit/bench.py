@@ -108,9 +108,20 @@ _INTEGER_FIELDS = (
     ("train.steps", 1), ("train.eval_every", 1), ("train.log_every", 1))
 
 
+# The fields that list the values a sweep runs.
+_LIST_FIELDS = ("r_values", "snr_values", "seeds")
+
+
+def _require_lists(cfg: ExperimentConfig) -> None:
+    for name in _LIST_FIELDS:
+        value = getattr(cfg, name)
+        _require(isinstance(value, (tuple, list)), name, f"{value!r} must be a list")
+
+
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(isinstance(cfg.name, str) and cfg.name != "", "name",
              f"{cfg.name!r} must be a non-empty string")
+    _require_lists(cfg)
     for path, least in _INTEGER_FIELDS:
         section, _, name = path.rpartition(".")
         value = getattr(getattr(cfg, section) if section else cfg, name)
@@ -133,7 +144,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
                  for v in cfg.snr_values),
              "snr_values", f"entries {cfg.snr_values} must be dB in [{-MAX_SNR_DB:g}, "
              f"{MAX_SNR_DB:g}] or inf (noiseless), not nan or -inf")
-    for name in ("r_values", "snr_values", "seeds"):
+    for name in _LIST_FIELDS:
         values = getattr(cfg, name)
         _require(len(set(values)) == len(values), name,
                  f"entries {values} repeat; a repeated run overwrites its curve file")
@@ -175,7 +186,9 @@ def _plain(v):
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     out = dataclasses.asdict(cfg, dict_factory=lambda items: {k: _plain(v) for k, v in items})
-    out["snr_values"] = [_snr_to_json(s) for s in out["snr_values"]]
+    # A scalar is written as it is, so it reads back invalid.
+    if isinstance(out["snr_values"], list):
+        out["snr_values"] = [_snr_to_json(s) for s in out["snr_values"]]
     return out
 
 
@@ -201,6 +214,7 @@ def _json_ints(values) -> tuple:
 
 def config_from_dict(record: dict) -> ExperimentConfig:
     cfg = _build_section(ExperimentConfig, record, "")
+    _require_lists(cfg)
     sections = {name: _build_section(cls, record[name], name)
                 for name, cls in (("data", DataConfig), ("train", TrainConfig))
                 if name in record}

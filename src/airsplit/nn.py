@@ -263,33 +263,51 @@ class Flatten:
 
 
 class ComplexNet:
-    """A plain sequence of layers with dict-of-arrays parameters."""
+    """A plain sequence of layers with dict-of-arrays parameters.
+
+    A layer's parameters and gradients are named "<prefix>.<name>", the
+    prefix taken from _names(): the layer's position by default.
+    """
 
     def __init__(self, layers):
         self.layers = list(layers)
 
+    def _names(self):
+        return [str(i) for i in range(len(self.layers))]
+
     def parameters(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.parameters().items():
-                out[f"{i}.{name}"] = arr
-        return out
+        return {f"{prefix}.{name}": arr
+                for prefix, layer in zip(self._names(), self.layers)
+                for name, arr in layer.parameters().items()}
 
     def forward(self, x, train=True):
+        """Returns (output, caches).  A training pass keeps one cache per
+        layer, in order, for backward; an inference pass keeps none and
+        returns [], each cache dropped as soon as the next layer has its
+        input."""
         caches = []
         for layer in self.layers:
             x, cache = layer.forward(x, train=train)
-            caches.append(cache)
+            if train:
+                caches.append(cache)
+            del cache
         return x, caches
 
     def backward(self, caches, g):
+        """Walk the layers backward from the upstream gradient g.
+
+        Consumes the caches of a training forward pass from their end, so
+        each is released before the layer in front of it runs and the list
+        is empty on return.  Returns (input gradient, parameter gradients).
+        """
         if len(caches) != len(self.layers):
-            raise ValueError("cache list does not match the layer stack")
-        grads = {}
-        for i in range(len(self.layers) - 1, -1, -1):
-            g, layer_grads = self.layers[i].backward(caches[i], g)
+            raise ValueError(f"ctx holds {len(caches)} records for {len(self.layers)} "
+                             "stages; only a training forward pass records them")
+        names, grads = self._names(), {}
+        for i in reversed(range(len(self.layers))):
+            g, layer_grads = self.layers[i].backward(caches.pop(), g)
             for name, arr in layer_grads.items():
-                grads[f"{i}.{name}"] = arr
+                grads[f"{names[i]}.{name}"] = arr
         return g, grads
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelState, NoiseModel, evolve_channel
 from .linalg import crandn, make_rng, svd
-from .nn import modulus_softmax_loss
+from .nn import ComplexNet, modulus_softmax_loss
 from .oac import OacConvLayer, OacLayer
 
 __all__ = [
@@ -114,6 +114,8 @@ class SplitLink:
     the uses side by side, and an evaluation forward leaves it alone; with
     comm_weight = 0 no pass updates them, and they stay empty.  A frozen
     combiner gets no penalty gradient, but its penalty is still reported.
+    A link is a layer of its system: forward(x, train) -> (y, transcript)
+    and backward(transcript, g_y) -> (g_x, grads), the penalty included.
     """
 
     def __init__(self, layer, channel: ChannelState, noise: NoiseModel,
@@ -140,6 +142,9 @@ class SplitLink:
         self.evolve_rng = evolve_rng
         self.comm_loss_value = 0.0
 
+    def parameters(self) -> dict:
+        return self.layer.parameters()
+
     def evolve(self) -> None:
         if self.rho > 0.0:
             self.channel = evolve_channel(self.channel, self.rho, self.evolve_rng)
@@ -157,7 +162,7 @@ class SplitLink:
         if self.comm_weight > 0.0:
             self.bwd_cov.update(np.hstack(res.received))      # (n_tx, K*B)
             self._inject_comm(transcript, res)
-        return res
+        return res.g_x, res.grads
 
     def _inject_comm(self, transcript, res) -> None:
         """Add the weak-subspace penalty gradients onto the link gradients."""
@@ -184,12 +189,15 @@ class BatchMetrics:
     comm_loss: float = 0.0
 
 
-class SplitSystem:
+class SplitSystem(ComplexNet):
     """Alternating node networks and air links, trained end to end.
 
-    nodes: list of ComplexNet, one more than links.  modulus_softmax_loss is
-    applied to the last node's output.  One node and no links is the
-    centralized reference network.
+    nodes: list of ComplexNet, one more than links.  The system is itself a
+    ComplexNet whose layers are node 0, link 0, node 1, ...; its parameters
+    and gradients are named node<i>.<name> and link<i>.<name>, and a
+    training forward's ctx holds one record per stage.
+    modulus_softmax_loss is applied to the last node's output.  One node and
+    no links is the centralized reference network.
     """
 
     def __init__(self, nodes, links):
@@ -197,71 +205,18 @@ class SplitSystem:
             raise ValueError("need exactly one more node than links")
         self.nodes = list(nodes)
         self.links = list(links)
+        super().__init__([stage for pair in zip(self.nodes, self.links) for stage in pair]
+                         + self.nodes[-1:])
 
-    def parameters(self) -> dict:
-        out = {}
-        for i, node in enumerate(self.nodes):
-            for name, arr in node.parameters().items():
-                out[f"node{i}.{name}"] = arr
-        for i, link in enumerate(self.links):
-            for name, arr in link.layer.parameters().items():
-                out[f"link{i}.{name}"] = arr
-        return out
-
-    def _stages(self):
-        """(kind, index, stage) in forward order: node 0, link 0, node 1, ..."""
-        for i, node in enumerate(self.nodes):
-            yield "node", i, node
-            if i < len(self.links):
-                yield "link", i, self.links[i]
-
-    def forward(self, x, train: bool = True):
-        """Run every node and link in order.  Returns (output, ctx).
-
-        A training pass records each node's caches and each link's transcript
-        in ctx, as (kind, record) in stage order, for backward.  An inference
-        pass records nothing and returns an empty ctx: each stage's record is
-        dropped as soon as the next stage has its input.
-        """
-        ctx = []
-        for kind, _, stage in self._stages():
-            x, record = stage.forward(x, train=train)
-            if train:
-                ctx.append((kind, record))
-            del record
-        return x, ctx
-
-    def backward(self, ctx, g) -> dict:
-        """Walk the stages backward from the upstream gradient g.
-
-        Consumes the ctx of a training forward pass from its end: each
-        stage's record, and a link's backward result, are released once the
-        stage's gradients are taken, before the stage in front of it runs.
-        ctx is empty on return.  Returns the parameter gradients.
-        """
-        stages = list(self._stages())
-        if len(ctx) != len(stages):
-            raise ValueError(f"ctx holds {len(ctx)} records for {len(stages)} stages; "
-                             "only a training forward pass records them")
-        grads = {}
-        for kind, i, stage in reversed(stages):
-            _, record = ctx.pop()
-            if kind == "node":
-                g, stage_grads = stage.backward(record, g)
-            else:
-                res = stage.backward(record, g)
-                g, stage_grads = res.g_x, res.grads
-                del res
-            for name, arr in stage_grads.items():
-                grads[f"{kind}{i}.{name}"] = arr
-        return grads
+    def _names(self):
+        return [f"{('node', 'link')[i % 2]}{i // 2}" for i in range(len(self.layers))]
 
     def train_batch(self, x, labels, optimizer) -> BatchMetrics:
         for link in self.links:
             link.evolve()
         logits, ctx = self.forward(x, train=True)
         loss, g, acc = modulus_softmax_loss(logits, labels)
-        grads = self.backward(ctx, g)
+        _, grads = self.backward(ctx, g)
         optimizer.step(self.parameters(), grads)
         comm = sum((link.comm_loss_value for link in self.links), 0.0)
         return BatchMetrics(loss=loss, accuracy=acc, comm_loss=comm)
@@ -271,13 +226,19 @@ class SplitSystem:
 
         The links stay noisy (inference also happens over the air) but no
         covariance is tracked, no parameter changes and no pass keeps a
-        record.  A batch_size below 1 or an empty x raises ValueError.
+        record.  labels is any integer sequence, one per sample.  A
+        batch_size below 1, an empty x or labels of another length raises
+        ValueError.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size = {batch_size} must be >= 1")
         n = x.shape[-1] if x.ndim == 2 else x.shape[0]
         if n == 0:
             raise ValueError(f"evaluate got an empty batch, x of shape {x.shape}")
+        labels = np.asarray(labels)
+        if labels.shape != (n,):
+            raise ValueError(f"labels of shape {labels.shape} must hold one label "
+                             f"per sample, ({n},)")
         total_loss, correct = 0.0, 0.0
         for start in range(0, n, batch_size):
             sl = slice(start, min(start + batch_size, n))

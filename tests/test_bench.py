@@ -71,6 +71,8 @@ NAN, INF = float("nan"), float("inf")
     ("data.separation", INF), ("train.lr", INF), ("name", 5), ("name", ""),
     ("r_values", (np.True_,)), ("seeds", (np.True_,)), ("snr_values", (np.True_,)),
     ("snr_values", (300.5,)), ("snr_values", (10.0, -300.5)), ("snr_values", (4000.0,)),
+    ("seeds", 3), ("r_values", 4), ("snr_values", 10.0), ("seeds", None),
+    ("snr_values", "inf"),
 ], ids=str)
 def test_configs_the_math_cannot_honour_fail_by_name(field, values):
     cfg = _with_field(ExperimentConfig(), field, values)

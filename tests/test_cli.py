@@ -134,6 +134,25 @@ def test_run_rejects_a_bad_name_or_a_deleted_field_by_name(override, message, tm
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("override, message", [
+    ("seeds=3", "seeds: 3 must be a list"),
+    ("r_values=4", "r_values: 4 must be a list"),
+    ("snr_values=10", "snr_values: 10 must be a list"),
+    ("seeds=null", "seeds: None must be a list"),
+    ("snr_values=inf", "snr_values: 'inf' must be a list"),
+], ids=str)
+def test_run_rejects_a_scalar_where_a_list_belongs_by_name(override, message, tmp_path,
+                                                          capsys):
+    # These exited 1 with "'int' object is not iterable", and a string SNR
+    # was read one character at a time: "got 'i'".
+    rc = main(["run", "complex_2node", "--override", override,
+               "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "config", "message": message}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_prints_the_step_and_message_of_a_failed_run(tmp_path, capsys, monkeypatch):
     train_batch = SplitSystem.train_batch
     steps = iter(range(1, 100))

@@ -225,6 +225,21 @@ def test_net_chains_layers_and_names_parameters():
     assert set(grads) == names and g_x.shape == x.shape
 
 
+def test_net_keeps_no_caches_in_inference_and_backward_consumes_them():
+    rng = make_rng(50)
+    net = ComplexNet([Dense(4, 5, rng), ComplexBatchNorm(5), CRelu(), Dense(5, 3, rng)])
+    x = crandn(rng, (4, 6))
+    y_eval, caches = net.forward(x, train=False)
+    assert caches == [] and y_eval.shape == (3, 6)
+    y, caches = net.forward(x, train=True)
+    assert len(caches) == 4
+    net.backward(caches, np.ones_like(y))
+    assert caches == []
+    with pytest.raises(ValueError, match=r"^ctx holds 0 records for 4 stages; only a "
+                                         r"training forward pass records them$"):
+        net.backward(caches, np.ones_like(y))
+
+
 def test_net_gradients_match_finite_differences():
     rng = make_rng(49)
     net = ComplexNet([Dense(3, 6, rng), ComplexBatchNorm(6), CRelu(),

@@ -11,7 +11,7 @@ from airsplit.linalg import crandn, make_rng
 from airsplit.nn import (
     Adam, AvgPool2d, ComplexNet, Conv2d, CRelu, Dense, Flatten, modulus_softmax_loss,
 )
-from airsplit.oac import OacConvLayer, OacDesign, OacLayer, equivalent_weight
+from airsplit.oac import OacConvLayer, OacDesign, OacLayer, Transcript, equivalent_weight
 from airsplit.runtime import (
     BatchMetrics, CovarianceTracker, RegretConfig, SplitLink,
     SplitSystem, comm_loss_gradients, regret_experiment,
@@ -144,7 +144,8 @@ def test_split_forward_composes_nodes_and_link():
     want, _ = system.nodes[1].forward(mid, train=False)
     np.testing.assert_allclose(y, want, atol=1e-10)
     _, ctx = system.forward(x, train=True)
-    assert [k for k, _ in ctx] == ["node", "link", "node"]
+    # One record per stage in forward order: a node's caches, the link's transcript.
+    assert [type(record) for record in ctx] == [list, Transcript, list]
 
 
 @pytest.mark.parametrize("comm_weight", [1e-2, 0.0])
@@ -234,13 +235,13 @@ def test_comm_penalty_moves_combiner_gradients():
     system_a.train_batch(x, labels, Adam(lr=0.0))
     logits, ctx = system_a.forward(x, train=True)
     _, g, _ = modulus_softmax_loss(logits, labels)
-    grads_a = system_a.backward(ctx, g)
+    _, grads_a = system_a.backward(ctx, g)
     assert link_a.comm_loss_value > 0.0
 
     system_b.train_batch(x, labels, Adam(lr=0.0))
     logits, ctx = system_b.forward(x, train=True)
     _, g, _ = modulus_softmax_loss(logits, labels)
-    grads_b = system_b.backward(ctx, g)
+    _, grads_b = system_b.backward(ctx, g)
     assert link_b.comm_loss_value == 0.0
     name = "link0.C"
     assert not np.allclose(grads_a[name], grads_b[name])
@@ -337,7 +338,7 @@ def test_conv_link_adds_the_combiner_penalty_gradient_to_mix_c():
     for weight in (1.0, 0.0):
         _, links[weight] = _conv_system(135, comm_weight=weight)
         _, transcript = links[weight].forward(x, train=True)
-        grads[weight] = links[weight].backward(transcript, g_y).grads
+        grads[weight] = links[weight].backward(transcript, g_y)[1]
     on = links[1.0]
     g_c, _ = comm_loss_gradients(on.fwd_cov, on.inner.params["C"], on.inner.r,
                                  side="combiner", weight=1.0)
@@ -368,6 +369,19 @@ def test_evaluate_rejects_a_bad_batch_size_or_an_empty_batch(batch_size, n, matc
     x = crandn(make_rng(139), (3, n))
     with pytest.raises(ValueError, match=match):
         system.evaluate(x, np.zeros(n, dtype=int), batch_size=batch_size)
+
+
+def test_evaluate_takes_labels_as_any_integer_sequence_one_per_sample():
+    # A list raised AttributeError on labels.shape, and 7 labels for 5
+    # samples scored the first 5 and ignored the other 2.
+    system, _ = _toy_system(140)
+    x = crandn(make_rng(141), (3, 5))
+    labels = make_rng(142).integers(0, 4, 5)
+    want = system.evaluate(x, labels, batch_size=2)
+    assert system.evaluate(x, labels.tolist(), batch_size=2) == want
+    with pytest.raises(ValueError, match=r"labels of shape \(7,\) must hold one label "
+                                         r"per sample, \(5,\)"):
+        system.evaluate(x, np.zeros(7, dtype=int))
 
 
 def _two_link_system(seed, n, r):
@@ -417,8 +431,8 @@ def test_backward_consumes_ctx_and_frees_each_stage():
     labels = rng.integers(0, 4, 6)
     assert system.forward(x, train=False)[1] == []
     logits, ctx = system.forward(x, train=True)
-    assert [kind for kind, _ in ctx] == ["node", "link", "node", "link", "node"]
-    refs = [weakref.ref(payload) for kind, payload in ctx if kind == "link"]
+    assert [type(record) for record in ctx] == [list, Transcript, list, Transcript, list]
+    refs = [weakref.ref(transcript) for transcript in ctx[1::2]]
 
     def recording(backward):
         def wrapped(*args, **kwargs):
@@ -428,7 +442,7 @@ def test_backward_consumes_ctx_and_frees_each_stage():
         return wrapped
 
     for link in system.links:
-        link.backward = recording(link.backward)
+        link.layer.backward = recording(link.layer.backward)
     alive = []
     node0_backward = system.nodes[0].backward
 
@@ -438,7 +452,7 @@ def test_backward_consumes_ctx_and_frees_each_stage():
 
     system.nodes[0].backward = first_node_backward
     _, g, _ = modulus_softmax_loss(logits, labels)
-    grads = system.backward(ctx, g)
+    _, grads = system.backward(ctx, g)
     assert ctx == []
     # by the time the first node runs, both links' transcripts and backward
     # results are released

@@ -106,6 +106,17 @@ PLANTS = (
     ("the name check removed", "bench.py",
      '_require(isinstance(cfg.name, str) and cfg.name != "", "name",',
      '_require(True, "name",'),
+    ("a scalar taken where a config list belongs", "bench.py",
+     "_require(isinstance(value, (tuple, list)), name,", "_require(True, name,"),
+    ("evaluate ignores labels beyond its samples", "runtime.py",
+     "if labels.shape != (n,):", "if labels.shape[0] < n:"),
+    ("an inference pass keeps its caches", "nn.py",
+     "            if train:\n                caches.append(cache)\n",
+     "            caches.append(cache)\n"),
+    ("backward reads the caches without popping them", "nn.py",
+     "self.layers[i].backward(caches.pop(), g)", "self.layers[i].backward(caches[i], g)"),
+    ("node and link names swapped", "runtime.py",
+     "('node', 'link')[i % 2]", "('link', 'node')[i % 2]"),
 )
 
 
